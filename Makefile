@@ -4,7 +4,7 @@ BENCHTIME ?= 1x
 BENCH_OUT ?= BENCH_baseline.json
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke parallel-smoke telemetry bench bench-check cover ci
+.PHONY: build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry bench bench-check cover ci
 
 build:
 	$(GO) build ./...
@@ -99,16 +99,10 @@ fleet-smoke:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosTorture|TestDrainRacesRecovery' -count=1 ./serve
 
-# The parallel-engine gate (docs/robustness.md §7): the sharded
-# engine's metamorphic, snapshot-split, chunk-cadence and sampler
-# suites under the race detector, the -short golden shard sweep (the
-# reduced cell matrix, race-instrumented), and the serve/ soak with
-# sharded workers. Bit-identity across the full 40-cell corpus runs
-# uninstrumented in `test` (TestGoldenStatsSharded).
-parallel-smoke:
-	$(GO) test -race -run 'TestMetamorphicShardInvariance|TestShardInvarianceSnapshotSplit|TestSharded' -count=1 ./internal/sim
-	$(GO) test -race -short -run 'TestGoldenStatsSharded' -count=1 .
-	$(GO) test -race -run 'TestServeShardedSoak' -count=1 ./serve
+# The end-to-end benchmark (cmd/perfbench/README.md) is a module of its
+# own, so `test` never compiles it: vet and test it here.
+perfbench:
+	cd cmd/perfbench && $(GO) vet . && $(GO) test .
 
 # The telemetry gate: the sampler/trace/metrics package and the
 # concurrency-sensitive Progress and end-to-end telemetry tests always
@@ -154,4 +148,4 @@ cover:
 	floor ./explore 70
 
 # Tier-1+ gate (ROADMAP.md): everything CI runs.
-ci: vet build test race fuzz resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke parallel-smoke telemetry cover
+ci: vet build test race fuzz resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover

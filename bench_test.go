@@ -85,32 +85,23 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw simulation throughput per system class
-// on one representative workload, in references per second. Each system
-// runs twice: on the sequential engine (the series the bench-check gate
-// compares against the baseline) and on the 4-shard parallel engine (a
-// separate series benchjson tags with its shard count; the ratio of the
-// two is the parallel speedup recorded in docs/performance.md).
+// on one representative workload, in references per second.
 func BenchmarkSimulator(b *testing.B) {
 	systems := []System{Base(), VB(16 << 10), NCD(), VBPFrac(16<<10, 5), VXPFrac(16<<10, 5, 32)}
 	bench := workload.Ocean(benchOptions().Scale)
-	run := func(b *testing.B, sys System, opt Options) {
-		var refs int64
-		for i := 0; i < b.N; i++ {
-			res, err := Run(bench, sys, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			refs += res.Refs
-		}
-		b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
-	}
+	opt := benchOptions()
 	for _, sys := range systems {
 		sys := sys
-		b.Run(sys.Name, func(b *testing.B) { run(b, sys, benchOptions()) })
-		b.Run(sys.Name+"/shards=4", func(b *testing.B) {
-			opt := benchOptions()
-			opt.Shards = 4
-			run(b, sys, opt)
+		b.Run(sys.Name, func(b *testing.B) {
+			var refs int64
+			for i := 0; i < b.N; i++ {
+				res, err := Run(bench, sys, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				refs += res.Refs
+			}
+			b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
 		})
 	}
 }

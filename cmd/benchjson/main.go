@@ -41,13 +41,6 @@ type benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
-	// Shards is the parallel-engine shard count parsed from a
-	// "/shards=N" segment in the benchmark name; 0 is the sequential
-	// engine. Sharded series are recorded in the JSON alongside the
-	// sequential ones but exempt from the -check regression gate —
-	// their numbers depend on machine load in a way single-threaded
-	// ns/op does not.
-	Shards int `json:"shards,omitempty"`
 }
 
 type report struct {
@@ -119,9 +112,6 @@ func check(out io.Writer, rep report, path string, tolerance float64) error {
 	}
 	baseNs := map[string]float64{}
 	for _, b := range base.Benchmarks {
-		if b.Shards > 0 || shardsOf(b.Name) > 0 {
-			continue // sharded series are recorded, never gated
-		}
 		if ns, ok := b.Metrics["ns/op"]; ok && ns > 0 {
 			baseNs[b.Name] = ns
 		}
@@ -131,10 +121,6 @@ func check(out io.Writer, rep report, path string, tolerance float64) error {
 	for _, b := range rep.Benchmarks {
 		ns, ok := b.Metrics["ns/op"]
 		if !ok {
-			continue
-		}
-		if b.Shards > 0 {
-			fmt.Fprintf(out, "sharded  %-60s %14.0f ns/op (shards=%d, not gated)\n", b.Name, ns, b.Shards)
 			continue
 		}
 		want, ok := baseNs[b.Name]
@@ -187,7 +173,6 @@ func parseBenchLine(line string) (benchmark, bool) {
 		return benchmark{}, false
 	}
 	b := benchmark{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-	b.Shards = shardsOf(b.Name)
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -196,22 +181,4 @@ func parseBenchLine(line string) (benchmark, bool) {
 		b.Metrics[fields[i+1]] = v
 	}
 	return b, true
-}
-
-// shardsOf extracts the shard count from a "/shards=N" name segment
-// (e.g. BenchmarkSimulator/vb/shards=4-8); 0 means sequential.
-func shardsOf(name string) int {
-	i := strings.Index(name, "/shards=")
-	if i < 0 {
-		return 0
-	}
-	tail := name[i+len("/shards="):]
-	if j := strings.IndexAny(tail, "/-"); j >= 0 {
-		tail = tail[:j]
-	}
-	n, err := strconv.Atoi(tail)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
 }

@@ -120,49 +120,3 @@ func TestCheckDisjointSets(t *testing.T) {
 		t.Fatalf("missing baseline entry not reported:\n%s", out.String())
 	}
 }
-
-const shardedBench = `goos: linux
-goarch: amd64
-pkg: dsmnc
-cpu: fake
-BenchmarkSimulator/vb-8             2    200000000 ns/op    2500000 refs/s
-BenchmarkSimulator/vb/shards=4-8    2     60000000 ns/op    8300000 refs/s
-PASS
-`
-
-func TestShardsDimension(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(strings.NewReader(shardedBench), &out, "", 0.10); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2", len(rep.Benchmarks))
-	}
-	if rep.Benchmarks[0].Shards != 0 || rep.Benchmarks[1].Shards != 4 {
-		t.Fatalf("shard dimension mis-parsed: %d and %d", rep.Benchmarks[0].Shards, rep.Benchmarks[1].Shards)
-	}
-}
-
-func TestCheckSkipsShardedSeries(t *testing.T) {
-	// The sharded series regresses wildly; the gate must not care.
-	// The sequential series is within tolerance, so the check passes
-	// and gates exactly one benchmark.
-	path := writeBaseline(t, []benchmark{
-		{Name: "BenchmarkSimulator/vb-8", Metrics: map[string]float64{"ns/op": 195000000}},
-		{Name: "BenchmarkSimulator/vb/shards=4-8", Shards: 4, Metrics: map[string]float64{"ns/op": 10000000}},
-	})
-	var out bytes.Buffer
-	if err := run(strings.NewReader(shardedBench), &out, path, 0.10); err != nil {
-		t.Fatalf("check failed on a sharded series: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "bench-check: 1 benchmark(s) within 10%") {
-		t.Fatalf("sharded series leaked into the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "not gated") {
-		t.Fatalf("sharded series not reported:\n%s", out.String())
-	}
-}

@@ -45,7 +45,6 @@ func run() int {
 		retries   = flag.Int("retries", 0, "retry transiently-failed cells (timeouts, panics) up to N extra times")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot in-flight cells every N applied references; 0 disables")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-cell checkpoints (default: beside the journal)")
-		shards    = flag.Int("shards", 0, "parallel engine shards per cell, bit-identical to sequential; 0 sequential, -1 auto")
 		progress  = flag.Duration("progress", 0, "print a progress heartbeat at this interval (e.g. 10s); 0 disables")
 		metrics   = flag.String("metrics", "", "serve Prometheus metrics and pprof on this address (e.g. :9090, :0 for a free port)")
 	)
@@ -65,7 +64,6 @@ func run() int {
 	opt.Retries = *retries
 	opt.CheckpointEvery = *ckptEvery
 	opt.CheckpointDir = *ckptDir
-	opt.Shards = *shards
 	switch *scale {
 	case "test":
 		opt.Scale = workload.ScaleTest

@@ -99,7 +99,6 @@ func main() {
 		watchdog   = flag.Float64("watchdog", 3, "force-fail a job once it runs this multiple of its deadline; 0 disables")
 		leaseTTL   = flag.Duration("lease", 15*time.Second, "executor lease TTL: a running attempt silent this long is revoked and reassigned; 0 disables leases")
 		retries    = flag.Int("retries", 2, "reassignments after lease losses before a job fails; 0 disables retries")
-		shards     = flag.Int("shards", 0, "default parallel engine shards per job (requests may override); 0 sequential, -1 auto")
 		fleet      = flag.String("fleet", "", "comma-separated dsmworker addresses (host:port,...); execution moves to the fleet, one fault domain per node")
 		chaosSeed  = flag.Int64("chaos", 0, "DEV ONLY: add a chaos executor injecting seeded crash/stall/slow/drop/duplicate faults; 0 disables")
 		quiet      = flag.Bool("q", false, "suppress the startup and shutdown log lines")
@@ -127,7 +126,6 @@ func main() {
 
 	var progress dsmnc.Progress
 	baseOpt := dsmnc.DefaultOptions()
-	baseOpt.Shards = *shards
 	cfg := serve.Config{
 		Options:        baseOpt,
 		Workers:        *workers,

@@ -42,7 +42,6 @@ func main() {
 		dirPtrs    = flag.Int("dirptrs", 0, "use a Dir_iB limited-pointer directory with this many pointers")
 		migrate    = flag.Bool("migrate", false, "enable OS page migration/replication (SGI-Origin style)")
 		checkInv   = flag.Bool("check", false, "attach the coherence invariant checker (fails on the first protocol violation)")
-		shards     = flag.Int("shards", 0, "parallel engine shards, bit-identical to sequential; 0 sequential, -1 auto (GOMAXPROCS)")
 		perCluster = flag.Bool("percluster", false, "print the per-cluster event breakdown")
 		progress   = flag.Duration("progress", 0, "print a progress heartbeat at this interval (e.g. 10s); 0 disables")
 		list       = flag.Bool("list", false, "list benchmarks and systems")
@@ -129,7 +128,6 @@ func main() {
 	sys.DirPointers = *dirPtrs
 	sys.Migration = *migrate
 	opt.Check = *checkInv
-	opt.Shards = *shards
 	if *progress > 0 || *metricsAddr != "" {
 		opt.Progress = &dsmnc.Progress{}
 	}

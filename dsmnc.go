@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"dsmnc/internal/cache"
@@ -231,16 +230,6 @@ type Options struct {
 	// machine: runs validate protocol invariants after each reference
 	// and fail with sim.ErrProtocol on the first violation.
 	Check bool
-	// Shards enables the deterministic parallel engine: the machine's
-	// clusters split into that many contiguous shards that execute
-	// windowed reference batches concurrently, bit-identical to the
-	// sequential engine at every shard count (see
-	// docs/performance.md). 0 (the default) keeps the sequential
-	// engine; a negative value picks GOMAXPROCS, capped by the
-	// cluster count. Order-serial configurations — Check, EventTrace,
-	// migration, limited directories — ignore the setting and run
-	// sequentially.
-	Shards int
 	// KeepGoing makes sweeps record per-cell failures in
 	// Experiment.Failed and carry on, instead of failing the whole
 	// experiment on the first bad cell.
@@ -359,12 +348,8 @@ func configFor(sharedBytes int64, s System, opt Options) (sim.Config, error) {
 		MOESI:             s.MOESI,
 		DecrementCounters: s.DecrementCounters,
 		Check:             opt.Check,
-		Shards:            opt.Shards,
 		Sampler:           opt.Sampler,
 		Tracer:            opt.EventTrace,
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if s.DirPointers > 0 {
 		ptrs := s.DirPointers

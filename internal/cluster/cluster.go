@@ -160,12 +160,6 @@ func (cl *Cluster) emit(kind telemetry.EventKind, addr uint64, arg uint8) {
 // ID returns the cluster id.
 func (cl *Cluster) ID() int { return cl.id }
 
-// SetHome swaps the cluster's network attachment. The sharded engine
-// interposes a per-shard proxy (serializing directory access) for the
-// duration of a windowed batch and restores the direct service after;
-// nothing else may change the attachment mid-run.
-func (cl *Cluster) SetHome(h HomeService) { cl.home = h }
-
 // Bus exposes the snooping bus (testing).
 func (cl *Cluster) Bus() *bus.Bus { return cl.bus }
 

@@ -73,16 +73,6 @@ type Config struct {
 	// doubles per-reference cost; meant for tests and checked sweeps.
 	Check bool
 
-	// Shards enables the deterministic sharded engine: the clusters
-	// are split into min(Shards, Clusters, 8) contiguous shards that
-	// execute windowed batches concurrently, bit-identical to the
-	// sequential engine (see shard.go). 0 leaves the sequential engine
-	// untouched. Configurations whose per-reference work is order-
-	// serial (Tracer, Migration, Check, a non-full-map directory, a
-	// non-first-touch placement) ignore the setting and run
-	// sequentially.
-	Shards int
-
 	// Sampler, when non-nil, records a machine-wide time-series sample
 	// every Sampler.Every() applied references (and participates in
 	// snapshots, so a resumed cell continues its series). The
@@ -105,9 +95,8 @@ type System struct {
 	decrDir  bool // decrement directory counters on false invalidations
 	mig      *migration.Engine
 	checker  *check.Checker
-	applied  int64      // references successfully applied (the trace position)
-	err      error      // sticky: first internal failure, surfaced by Apply
-	par      *parEngine // non-nil when the sharded engine is attached
+	applied  int64 // references successfully applied (the trace position)
+	err      error // sticky: first internal failure, surfaced by Apply
 
 	// pidCluster/pidLocal precompute the Geometry.ClusterOf/LocalProc
 	// divisions for every processor id — Apply decodes a pid with two
@@ -211,25 +200,7 @@ func New(cfg Config) (*System, error) {
 			Home:     s.place.HomeIfPlaced,
 		})
 	}
-	if cfg.Shards > 0 && s.tracer == nil && s.mig == nil && s.checker == nil &&
-		s.dirFull != nil && s.ft != nil {
-		s.par = newParEngine(s, cfg.Shards)
-	}
 	return s, nil
-}
-
-// Sharded reports whether the deterministic sharded engine is attached
-// (Config.Shards > 0 on an eligible configuration). Results are
-// bit-identical either way; batch delivery is what gains concurrency.
-func (s *System) Sharded() bool { return s.par != nil }
-
-// ShardCount returns the effective shard count: 1 when the machine
-// runs sequentially.
-func (s *System) ShardCount() int {
-	if s.par == nil {
-		return 1
-	}
-	return s.par.Shards()
 }
 
 // Geometry returns the machine topology.
@@ -272,12 +243,7 @@ func (s *System) Apply(r trace.Ref) error {
 	c := int(s.pidCluster[pid])
 	page := memsys.PageOf(r.Addr)
 	var home int
-	if s.par != nil {
-		// The sharded engine's touch table must see every reference,
-		// however it is delivered, or a later window would
-		// misclassify a block as shard-private.
-		home, _ = s.par.resolve(page, memsys.BlockOf(r.Addr), c)
-	} else if s.ft != nil {
+	if s.ft != nil {
 		home = s.ft.Home(page, c)
 	} else {
 		home = s.place.Home(page, c)
@@ -325,19 +291,6 @@ func (s *System) Apply(r trace.Ref) error {
 // no tracer, migration engine, checker or sampler is attached, the
 // per-reference nil checks for those hooks are hoisted out of the loop.
 func (s *System) ApplyBatch(refs []trace.Ref) (int, error) {
-	if s.par != nil {
-		if len(refs) >= parMinBatch {
-			return s.par.applyBatch(refs)
-		}
-		// Small batches run sequentially through Apply, which keeps
-		// the engine's touch table exact.
-		for i := range refs {
-			if err := s.Apply(refs[i]); err != nil {
-				return i, err
-			}
-		}
-		return len(refs), nil
-	}
 	if s.tracer != nil || s.mig != nil || s.checker != nil || s.sampleEvery > 0 || s.ft == nil {
 		for i := range refs {
 			if err := s.Apply(refs[i]); err != nil {
@@ -440,12 +393,8 @@ func (s *System) Run(src trace.Source) (int64, error) {
 }
 
 // RunContext is Run with cancellation: ctx is polled every 1024
-// references (every window under the sharded engine), so runaway cells
-// in a sweep can be timed out.
+// references, so runaway cells in a sweep can be timed out.
 func (s *System) RunContext(ctx context.Context, src trace.Source) (int64, error) {
-	if s.par != nil {
-		return s.runContextWindowed(ctx, src)
-	}
 	done := ctx.Done()
 	var n int64
 	for {
@@ -469,52 +418,6 @@ func (s *System) RunContext(ctx context.Context, src trace.Source) (int64, error
 			return n, err
 		}
 		n++
-	}
-}
-
-// runContextWindowed drains a source through the sharded engine:
-// references accumulate into a window-sized buffer and flush through
-// ApplyBatch, which schedules them across the shards. Cancellation is
-// polled once per window.
-func (s *System) runContextWindowed(ctx context.Context, src trace.Source) (int64, error) {
-	done := ctx.Done()
-	buf := make([]trace.Ref, 0, ParWindow)
-	var n int64
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		applied, err := s.ApplyBatch(buf)
-		n += int64(applied)
-		buf = buf[:0]
-		return err
-	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			if err := flush(); err != nil {
-				return n, err
-			}
-			if fe, ok := src.(interface{ Err() error }); ok {
-				if err := fe.Err(); err != nil {
-					return n, err
-				}
-			}
-			return n, nil
-		}
-		buf = append(buf, r)
-		if len(buf) == cap(buf) {
-			if err := flush(); err != nil {
-				return n, err
-			}
-			if done != nil {
-				select {
-				case <-done:
-					return n, ctx.Err()
-				default:
-				}
-			}
-		}
 	}
 }
 

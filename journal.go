@@ -192,8 +192,5 @@ func (o Options) fingerprint() string {
 // with every cell record: a stable token over the result-determining
 // parameters. The serving layer keys its idempotent job IDs and result
 // cache on it, so two submissions only coalesce when they would compute
-// the same thing. Shards is deliberately absent: the sharded engine is
-// bit-identical to the sequential one, so runs differing only in shard
-// count compute the same result and may share journal entries and
-// cached jobs.
+// the same thing.
 func (o Options) Fingerprint() string { return o.fingerprint() }

@@ -87,60 +87,42 @@ func runCell(ctx context.Context, exp string, j runJob) (Result, error) {
 		}
 		machine = m
 	}
-	skip := machine.RefsApplied()
-	n := skip
-	var seen, sinceCkpt int64
+	// Every chunk the generator emits goes through ApplyBatch, which is
+	// exactly a loop of Apply. Each run is cut at the next cancellation
+	// poll (every 1024 applied references) and the next checkpoint, so
+	// polls, checkpoints and progress land on the same reference counts
+	// as a per-reference loop would put them.
+	n := machine.RefsApplied()
+	skip := n // the checkpoint already consumed this prefix
+	var sinceCkpt int64
 	var firstErr error
-	sink := func(r trace.Ref) {
+	b.EmitBatch(opt.Geometry, opt.Quantum, func(refs []trace.Ref) {
 		if firstErr != nil {
 			return
 		}
-		if seen++; seen <= skip {
-			return // the checkpoint already consumed this prefix
+		if skip > 0 {
+			drop := min(skip, int64(len(refs)))
+			skip -= drop
+			refs = refs[drop:]
 		}
-		if n&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				firstErr = err
-				return
+		for len(refs) > 0 {
+			if n&1023 == 0 {
+				if err := ctx.Err(); err != nil {
+					firstErr = err
+					return
+				}
 			}
-		}
-		if err := machine.Apply(r); err != nil {
-			firstErr = err
-			return
-		}
-		n++
-		if opt.Progress != nil {
-			opt.Progress.Refs.Add(1)
-		}
-		if ck != nil {
-			if sinceCkpt++; sinceCkpt >= opt.CheckpointEvery {
-				sinceCkpt = 0
-				ck.save(machine)
+			run := 1024 - n&1023
+			if ck != nil {
+				run = min(run, opt.CheckpointEvery-sinceCkpt)
 			}
-		}
-	}
-	if machine.Sharded() {
-		// The parallel engine only fans out whole batches, so deliver
-		// engine-window-sized ones: accumulate emitted refs into a
-		// ParWindow buffer and flush it full. Skip, progress and
-		// checkpoint bookkeeping all move to window granularity —
-		// behavior is identical (ApplyBatch is bit-identical to a
-		// loop of Apply) and cancellation is polled once per flush.
-		buf := make([]trace.Ref, 0, sim.ParWindow)
-		flush := func() {
-			if firstErr != nil || len(buf) == 0 {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				firstErr = err
-				return
-			}
-			done, err := machine.ApplyBatch(buf)
+			run = min(run, int64(len(refs)))
+			done, err := machine.ApplyBatch(refs[:run])
 			n += int64(done)
+			refs = refs[done:]
 			if opt.Progress != nil {
 				opt.Progress.Refs.Add(int64(done))
 			}
-			buf = buf[:0]
 			if err != nil {
 				firstErr = err
 				return
@@ -152,64 +134,7 @@ func runCell(ctx context.Context, exp string, j runJob) (Result, error) {
 				}
 			}
 		}
-		b.EmitBatch(opt.Geometry, opt.Quantum, func(refs []trace.Ref) {
-			for firstErr == nil && len(refs) > 0 {
-				if seen < skip {
-					take := skip - seen
-					if take > int64(len(refs)) {
-						take = int64(len(refs))
-					}
-					seen += take
-					refs = refs[take:]
-					continue
-				}
-				take := cap(buf) - len(buf)
-				if take > len(refs) {
-					take = len(refs)
-				}
-				buf = append(buf, refs[:take]...)
-				seen += int64(take)
-				refs = refs[take:]
-				if len(buf) == cap(buf) {
-					flush()
-				}
-			}
-		})
-		flush()
-	} else if ck == nil && skip == 0 && opt.Progress == nil {
-		// The common fresh-run case: no prefix to skip, no checkpoint
-		// slot, no progress counter. Batch delivery drops the per-ref
-		// closure dispatch and the per-ref branches those features
-		// need; behavior is identical — ApplyBatch is exactly a loop
-		// of Apply, and cancellation is still polled every 1024
-		// references (each ApplyBatch run is cut at the poll points).
-		b.EmitBatch(opt.Geometry, opt.Quantum, func(refs []trace.Ref) {
-			if firstErr != nil {
-				return
-			}
-			for i := 0; i < len(refs); {
-				if n&1023 == 0 {
-					if err := ctx.Err(); err != nil {
-						firstErr = err
-						return
-					}
-				}
-				run := int(1024 - (n & 1023))
-				if rem := len(refs) - i; run > rem {
-					run = rem
-				}
-				done, err := machine.ApplyBatch(refs[i : i+run])
-				n += int64(done)
-				i += done
-				if err != nil {
-					firstErr = err
-					return
-				}
-			}
-		})
-	} else {
-		b.Emit(opt.Geometry, opt.Quantum, sink)
-	}
+	})
 	if firstErr != nil {
 		return Result{}, firstErr
 	}

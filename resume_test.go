@@ -475,6 +475,11 @@ func TestCheckpointResumesMidCell(t *testing.T) {
 	if applied <= 0 || applied >= want.Refs {
 		t.Fatalf("resume applied %d of %d refs; it should skip the checkpointed prefix", applied, want.Refs)
 	}
+	// Checkpoints land on exact multiples of CheckpointEvery, and
+	// progress counts exactly the references applied after the restore.
+	if skipped := want.Refs - applied; skipped%opt2.CheckpointEvery != 0 {
+		t.Fatalf("resumed from ref %d, not a multiple of CheckpointEvery %d", skipped, opt2.CheckpointEvery)
+	}
 	if n := len(checkpointFiles(t, dir)); n != 0 {
 		t.Fatalf("checkpoint files after completion = %d, want 0", n)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 	"time"
 
 	"dsmnc"
@@ -71,12 +72,6 @@ type Request struct {
 	// scheduler's default. It does not contribute to the job's
 	// identity: two submissions differing only in timeout coalesce.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Shards runs the job on the deterministic parallel engine with
-	// that many shards (see dsmnc.Options.Shards); 0 inherits the
-	// scheduler's default, -1 forces the sequential engine. Results
-	// are bit-identical at every shard count, so Shards — like
-	// TimeoutMS — does not contribute to the job's identity.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ParseRequest decodes and validates one JSON job request. Every
@@ -194,9 +189,6 @@ func (r Request) validate() error {
 	if r.TimeoutMS > int64(24*time.Hour/time.Millisecond) {
 		return fmt.Errorf("%w: timeout_ms over the 24h bound", ErrBadRequest)
 	}
-	if r.Shards < -1 || r.Shards > 64 {
-		return fmt.Errorf("%w: shards %d outside [-1, 64]", ErrBadRequest, r.Shards)
-	}
 
 	rejectParams := func(what string) error {
 		if r.NCBytes != 0 || r.PCBytes != 0 || r.PCFrac != 0 || r.Threshold != 0 {
@@ -251,9 +243,11 @@ func (r Request) validate() error {
 func (r Request) Fingerprint() string {
 	n := r.normalized()
 	n.TimeoutMS = 0
-	n.Shards = 0
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", n)
+	// Requests once carried a shards field that printed as a trailing
+	// "Shards:0"; hashing it still keeps the job IDs already written
+	// to ledgers valid.
+	fmt.Fprintf(h, "%s Shards:0}", strings.TrimSuffix(fmt.Sprintf("%+v", n), "}"))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -267,11 +261,6 @@ func (r Request) compile(base dsmnc.Options) (*workload.Bench, dsmnc.System, dsm
 	opt := base
 	opt.Scale = scale
 	opt.Check = r.Check
-	if r.Shards > 0 {
-		opt.Shards = r.Shards
-	} else if r.Shards < 0 {
-		opt.Shards = 0 // explicit sequential, whatever the base says
-	}
 	bench := workload.ByName(r.Bench, scale)
 	if bench == nil {
 		return nil, dsmnc.System{}, dsmnc.Options{}, fmt.Errorf("%w: unknown bench %q", ErrBadRequest, r.Bench)

@@ -61,6 +61,7 @@ func TestParseRequestRejects(t *testing.T) {
 		`{"bench":"FFT","system":"warp"}`,
 		`{"bench":"FFT","system":"base","scale":"galactic"}`,
 		`{"bench":"FFT","system":"base","bogus":1}`,         // unknown field
+		`{"bench":"FFT","system":"base","shards":2}`,        // removed field
 		`{"bench":"FFT","system":"base","nc_bytes":1024}`,   // base takes no NC
 		`{"bench":"FFT","system":"nc","nc_bytes":-1}`,       // negative
 		`{"bench":"FFT","system":"nc","nc_bytes":99999999}`, // over bound

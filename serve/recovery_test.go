@@ -9,8 +9,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,10 +83,19 @@ func TestSchedulerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
+	// A fourth, written by a server from before requests lost their
+	// shards field: the record still carries it, and the job must
+	// replay under the ID that server gave it.
+	legacy, fp := idFor(t, s1, req(4))
+	if legacy != "99bca199aa8d4c0d" {
+		t.Fatalf("req(4) derives job ID %s; ledgers written before the shards field was removed hold 99bca199aa8d4c0d", legacy)
+	}
+	appendLegacyAccepted(t, path, legacy, fp, req(4).normalized())
+	unfinished = append(unfinished, legacy)
 
 	// Life 2: recovery restores the finished job's result and re-runs
-	// the unfinished three under their existing IDs. One worker behind a
-	// one-deep queue against a three-job backlog keeps Recovered() false
+	// the unfinished four under their existing IDs. One worker behind a
+	// one-deep queue against a four-job backlog keeps Recovered() false
 	// until the gate opens — the /healthz 503 window.
 	l3, err := OpenLedger(path)
 	if err != nil {
@@ -95,8 +107,8 @@ func TestSchedulerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, replayed := s2.RecoveryStats(); restored != 1 || replayed != 3 {
-		t.Fatalf("RecoveryStats = %d restored, %d replayed; want 1, 3", restored, replayed)
+	if restored, replayed := s2.RecoveryStats(); restored != 1 || replayed != 4 {
+		t.Fatalf("RecoveryStats = %d restored, %d replayed; want 1, 4", restored, replayed)
 	}
 	if s2.Recovered() {
 		t.Fatal("Recovered() true while the replay backlog is still gated")
@@ -133,13 +145,75 @@ func TestSchedulerRecovery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if total, maxPer := fr2.totalRuns(); total != 3 || maxPer != 1 {
-		t.Fatalf("replay ran %d jobs (max %d per job); want each of 3 exactly once", total, maxPer)
+	if total, maxPer := fr2.totalRuns(); total != 4 || maxPer != 1 {
+		t.Fatalf("replay ran %d jobs (max %d per job); want each of 4 exactly once", total, maxPer)
 	}
 	if err := s2.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
+}
+
+// appendLegacyAccepted appends an accepted record for r the way a
+// server from before the request's shards field was removed framed it,
+// with "shards":2 as the request's last field.
+func appendLegacyAccepted(t *testing.T, path, id, fingerprint string, r Request) {
+	t.Helper()
+	line := legacyAcceptedLine(t, id, fingerprint, r, 2)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyAcceptedLine frames an accepted ledger line for r whose request
+// carries "shards":shards as its last field, as servers from before the
+// field was removed wrote it.
+func legacyAcceptedLine(t *testing.T, id, fingerprint string, r Request, shards int) []byte {
+	t.Helper()
+	body, err := json.Marshal(ledgerRecord{Kind: recAccepted, ID: id, Time: time.Now(), Request: &r, Fingerprint: fingerprint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := fmt.Sprintf(`,"shards":%d}`, shards)
+	body = bytes.Replace(body, []byte(`},"fingerprint":`), []byte(field+`,"fingerprint":`), 1)
+	if !bytes.Contains(body, []byte(field)) {
+		t.Fatalf("legacy record lacks its shards field: %s", body)
+	}
+	line, err := json.Marshal(ledgerLine{Sum: fmt.Sprintf("%08x", crc32.Checksum(body, ledgerCRC)), Rec: body})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// TestShardsIdentityFree pins the compatibility contract of the removed
+// shards field: a ledger record carrying any shards value it once took
+// (a count, or -1 for sequential) reads back as the same request, with
+// the same fingerprint and job ID, as the record without it.
+func TestShardsIdentityFree(t *testing.T) {
+	s := mustScheduler(t, Config{Workers: 1, QueueDepth: 1})
+	defer s.Drain(context.Background())
+	r := Request{Bench: "FFT", System: "base"}.normalized()
+	id, fp := idFor(t, s, r)
+	for _, shards := range []int{2, 4, -1} {
+		rec, err := parseLedgerLine(legacyAcceptedLine(t, id, fp, r, shards))
+		if err != nil {
+			t.Fatalf("shards=%d: legacy record rejected: %v", shards, err)
+		}
+		if *rec.Request != r {
+			t.Fatalf("shards=%d: legacy record reads back as %+v, want %+v", shards, *rec.Request, r)
+		}
+		if got, _ := idFor(t, s, *rec.Request); got != id || rec.Request.Fingerprint() != r.Fingerprint() {
+			t.Fatalf("shards=%d: legacy request derives job ID %s, want %s", shards, got, id)
+		}
+	}
 }
 
 func TestRecoveryRejectsForeignID(t *testing.T) {

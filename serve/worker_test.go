@@ -369,11 +369,10 @@ func TestWorkerRejectsGarbageAndUncompilable(t *testing.T) {
 	if code, ans := w.Dispatch([]byte("\x00\xff")); code != 400 {
 		t.Fatalf("garbage dispatch = %d: %s; want 400", code, ans)
 	}
-	// Valid wire shape, but a request this worker cannot compile (the
-	// strict parser catches unknown benches before compile; an options
-	// clash surfaces at compile). Use a shard count the base options
-	// reject to reach the compile path.
-	r := Request{Bench: "FFT", System: "nc", Scale: "test", Shards: 999}
+	// Valid wire shape and a valid request, but dispatched under an
+	// options fingerprint this worker's base options do not produce:
+	// the worker must refuse it rather than compute a different cell.
+	r := Request{Bench: "FFT", System: "nc", Scale: "test"}
 	wr := WireRequest{ID: "0123456789abcdef", Attempt: 1, Epoch: 1, Fingerprint: "0123456789abcdef", Request: r}
 	body, err := wr.Encode()
 	if err != nil {
