@@ -1,14 +1,11 @@
 package dsmnc
 
-// The benchmark harness: one testing.B benchmark per table and figure of
-// the paper's evaluation, plus micro-benchmarks of the simulator's hot
-// path. Each figure benchmark regenerates its experiment once per
-// iteration at small scale and reports throughput in simulated
-// references; run a single figure with e.g.
+// Micro-benchmarks of the simulator: Table 3's trace volumes, raw
+// simulation and trace-generation throughput, and the per-reference
+// cost of the Apply hot path. Figure sweeps are measured end to end by
+// cmd/perfbench's sweep workload, not here. Run one with e.g.
 //
-//	go test -bench=BenchmarkFig9 -benchtime=1x
-//
-// The EXPERIMENTS.md numbers come from cmd/dsmfig at medium scale.
+//	go test -run '^$' -bench=BenchmarkSimulator -benchtime=1x
 
 import (
 	"testing"
@@ -24,20 +21,6 @@ func benchOptions() Options {
 	return opt
 }
 
-func benchExperiment(b *testing.B, fn func(Options) (Experiment, error)) {
-	b.Helper()
-	opt := benchOptions()
-	for i := 0; i < b.N; i++ {
-		exp, err := fn(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(exp.Rows) == 0 {
-			b.Fatal("experiment produced no rows")
-		}
-	}
-}
-
 // BenchmarkTable3 regenerates Table 3 (benchmark characteristics).
 func BenchmarkTable3(b *testing.B) {
 	opt := benchOptions()
@@ -45,42 +28,6 @@ func BenchmarkTable3(b *testing.B) {
 		if rows := Table3(opt); len(rows) != 8 {
 			b.Fatal("table3 incomplete")
 		}
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3 (associativity x victim NC size).
-func BenchmarkFig3(b *testing.B) { benchExperiment(b, Fig3) }
-
-// BenchmarkFig4 regenerates Figure 4 (inclusion vs victim NC).
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, Fig4) }
-
-// BenchmarkFig5 regenerates Figure 5 (block vs page victim indexing).
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, Fig5) }
-
-// BenchmarkFig6 regenerates Figure 6 (adaptive vs fixed threshold).
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, Fig6) }
-
-// BenchmarkFig7 regenerates Figure 7 (page-cache size sweep).
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, Fig7) }
-
-// BenchmarkFig8 regenerates Figure 8 (victim indexing with page cache).
-func BenchmarkFig8(b *testing.B) { benchExperiment(b, Fig8) }
-
-// BenchmarkFig9 regenerates Figure 9 (remote read stalls).
-func BenchmarkFig9(b *testing.B) { benchExperiment(b, Fig9) }
-
-// BenchmarkFig10 regenerates Figure 10 (remote data traffic).
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, Fig10) }
-
-// BenchmarkFig11 regenerates Figure 11 (vxp vs ncp relocation counters).
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, Fig11) }
-
-// BenchmarkAblations runs the ablation suite (O state, counter
-// decrement, NC size/ways, threshold sweep).
-func BenchmarkAblations(b *testing.B) {
-	for name, fn := range Ablations() {
-		fn := fn
-		b.Run(name, func(b *testing.B) { benchExperiment(b, fn) })
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -127,31 +128,26 @@ func run() int {
 		return 0
 	}
 
-	drivers := dsmnc.Experiments()
-	for id, fn := range dsmnc.Ablations() {
-		drivers[id] = fn
-	}
-	var ids []string
+	figs := dsmnc.Figures()
 	if *exp == "all" {
-		for id := range drivers {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
+		sort.Slice(figs, func(i, j int) bool { return figs[i].ID < figs[j].ID })
 	} else {
-		if drivers[*exp] == nil {
+		i := slices.IndexFunc(figs, func(f dsmnc.Figure) bool { return f.ID == *exp })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "dsmfig: unknown experiment %q\n", *exp)
 			return 2
 		}
-		ids = []string{*exp}
+		figs = figs[i : i+1]
 	}
 
 	var allFailed []string
-	for _, id := range ids {
+	for _, f := range figs {
+		id := f.ID
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "running %s at %s scale...\n", id, opt.Scale)
 		}
 		start := time.Now()
-		e, err := drivers[id](opt)
+		e, err := f.Run(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsmfig: %s: %v\n", id, err)
 			return 1

@@ -8,7 +8,6 @@ package main
 // recovered result is field-identical to the committed golden corpus.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -128,72 +127,20 @@ func TestCrashTorture(t *testing.T) {
 			}
 
 			// A SIGTERM drain must still exit zero after all that.
-			if err := srv2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-srv2.exited:
-				if err != nil {
-					t.Fatalf("recovered server exited uncleanly after SIGTERM: %v", err)
-				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("recovered server did not exit within 60s of SIGTERM")
-			}
+			sigtermAndWait(t, srv2, "recovered server")
 		})
 	}
 }
 
-// server is one dsmserved life: the process, its base URL, and its exit
-// notification.
-type server struct {
-	cmd    *exec.Cmd
-	base   string
-	exited chan error
-}
-
 // startServer launches the built binary on a free port with the given
-// ledger and extra environment, and parses the listening address off
-// stdout. The torture runs one worker behind a tiny queue with
-// compaction after every terminal record, so every crash point is
-// reachable within two jobs.
-func startServer(t *testing.T, bin, ledger string, extraEnv ...string) *server {
+// ledger and extra environment. The torture runs one worker behind a
+// tiny queue with compaction after every terminal record, so every
+// crash point is reachable within two jobs.
+func startServer(t *testing.T, bin, ledger string, extraEnv ...string) *servedProc {
 	t.Helper()
-	cmd := exec.Command(bin,
+	return startProc(t, "dsmserved", bin, extraEnv,
 		"-addr", "127.0.0.1:0", "-workers", "1", "-ledger", ledger,
 		"-ledger-compact", "1", "-drain", "60s", "-q")
-	cmd.Env = append(os.Environ(), "GORACE=halt_on_error=1")
-	cmd.Env = append(cmd.Env, extraEnv...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s := &server{cmd: cmd, exited: make(chan error, 1)}
-	go func() { s.exited <- cmd.Wait() }()
-	t.Cleanup(func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			<-s.exited
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no startup line from dsmserved: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-	if !strings.Contains(line, "listening on") || addr == "" {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	go func() { // keep the pipe drained
-		for sc.Scan() {
-		}
-	}()
-	s.base = "http://" + addr
-	return s
 }
 
 // submit POSTs one job; ok is false when the server died mid-request —

@@ -8,16 +8,13 @@ package main
 // completely clean server.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -28,62 +25,13 @@ import (
 // enough simulation work for the SIGKILL to land mid-exploration.
 const exploreSpec = `{"bench":"FFT","scale":"small","tech":["none","sram"],"orgs":["nc","vb","vp"],"nc_kb":[16]}`
 
-// servedProc is one running dsmserved binary under test.
-type servedProc struct {
-	cmd    *exec.Cmd
-	base   string // http://host:port
-	exited chan error
-}
-
-// startServed launches the built binary and waits for its address line.
+// startServed launches the built dsmserved and waits out any ledger
+// replay backlog before the test drives the API.
 func startServed(t *testing.T, bin string, args ...string) *servedProc {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-q"}, args...)...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &servedProc{cmd: cmd, exited: make(chan error, 1)}
-	go func() { p.exited <- cmd.Wait() }()
-	t.Cleanup(func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			<-p.exited
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no startup line from dsmserved: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-	if !strings.Contains(line, "listening on") || addr == "" {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	p.base = "http://" + addr
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-	// Wait out any ledger replay backlog before driving the API.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(p.base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return p
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dsmserved not ready within 30s")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	p := startProc(t, "dsmserved", bin, nil, append([]string{"-addr", "127.0.0.1:0", "-q"}, args...)...)
+	waitHealthy(t, p.base)
+	return p
 }
 
 // postExplore submits a spec and decodes the run status.
@@ -223,12 +171,7 @@ func TestExploreEndToEndBinary(t *testing.T) {
 		t.Errorf("SSE stream of a finished run lacks the terminal status: %q", sbody)
 	}
 
-	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-p2.exited; err != nil {
-		t.Fatalf("dsmserved exited uncleanly after SIGTERM: %v", err)
-	}
+	sigtermAndWait(t, p2, "dsmserved")
 
 	// Server 3: clean ledger, no history. The recovered report must be
 	// byte-identical to this from-scratch one.

@@ -22,7 +22,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -306,49 +305,6 @@ func fleetWorkerShedsAndJoins(t *testing.T, workerBin string) {
 		t.Errorf("worker joined_total %v, want >= 1", joined)
 	}
 	sigtermAndWait(t, w, "worker")
-}
-
-// startProc launches a built binary (dsmserved or dsmworker — both
-// print "<name> listening on ADDR" on stdout), parses its address, and
-// arranges cleanup. Unlike startServed it takes extra environment, and
-// does not wait for readiness — fleet drills need the process address
-// before the coordinator exists.
-func startProc(t *testing.T, name, bin string, extraEnv []string, args ...string) *servedProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), "GORACE=halt_on_error=1")
-	cmd.Env = append(cmd.Env, extraEnv...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &servedProc{cmd: cmd, exited: make(chan error, 1)}
-	go func() { p.exited <- cmd.Wait() }()
-	t.Cleanup(func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			<-p.exited
-		}
-	})
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no startup line from %s: %v", name, sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-	if !strings.Contains(line, "listening on") || addr == "" {
-		t.Fatalf("unexpected %s startup line %q", name, line)
-	}
-	p.base = "http://" + addr
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-	return p
 }
 
 // addr strips the scheme off a proc's base URL — the form worker

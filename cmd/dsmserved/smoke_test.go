@@ -7,14 +7,12 @@ package main
 // zero-status drain.
 
 import (
-	"bufio"
 	"encoding/json"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -33,41 +31,8 @@ func TestServeSmokeBinary(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-drain", "30s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer func() {
-		// ProcessState is set once Wait has returned; only a test that
-		// bailed early still owns a live server to kill.
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			<-exited
-		}
-	}()
-
-	// The first stdout line announces the listening address.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no startup line from dsmserved: %v", sc.Err())
-	}
-	line := sc.Text()
-	addr := line[strings.LastIndex(line, " ")+1:]
-	if !strings.Contains(line, "listening on") || addr == "" {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	base := "http://" + addr
-	go func() { // keep the pipe drained
-		for sc.Scan() {
-		}
-	}()
+	p := startProc(t, "dsmserved", bin, nil, "-addr", "127.0.0.1:0", "-drain", "30s")
+	base := p.base
 
 	// Both probes answer on a fresh server: liveness because the
 	// process is up, readiness because there is no replay backlog and
@@ -150,15 +115,5 @@ func TestServeSmokeBinary(t *testing.T) {
 	}
 
 	// SIGTERM must drain and exit zero.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("dsmserved exited uncleanly after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("dsmserved did not exit within 30s of SIGTERM")
-	}
+	sigtermAndWait(t, p, "dsmserved")
 }

@@ -24,9 +24,21 @@ func mustRun(t *testing.T, b *workload.Bench, sys System, opt Options) Result {
 	return res
 }
 
-func mustExp(t *testing.T, fn func(Options) (Experiment, error), opt Options) Experiment {
+// figure looks up one entry of the figure table by ID.
+func figure(t testing.TB, id string) Figure {
 	t.Helper()
-	exp, err := fn(opt)
+	for _, f := range Figures() {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q in Figures()", id)
+	return Figure{}
+}
+
+func mustExp(t *testing.T, id string, opt Options) Experiment {
+	t.Helper()
+	exp, err := figure(t, id).Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,38 +231,20 @@ func TestTable3(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	exps := Experiments()
+	ids := map[string]bool{}
+	for _, f := range Figures() {
+		ids[f.ID] = true
+	}
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"} {
-		if exps[id] == nil {
+		if !ids[id] {
 			t.Errorf("experiment %s missing", id)
-		}
-	}
-}
-
-func TestFig4ExperimentStructure(t *testing.T) {
-	opt := testOptions()
-	exp := mustExp(t, Fig4, opt)
-	if exp.ID != "fig4" || len(exp.Systems) != 2 {
-		t.Fatalf("exp = %+v", exp)
-	}
-	if len(exp.Rows) != 8 {
-		t.Fatalf("rows = %d", len(exp.Rows))
-	}
-	for _, row := range exp.Rows {
-		if len(row.Values) != 2 {
-			t.Fatalf("%s: %d values", row.Bench, len(row.Values))
-		}
-		for _, v := range row.Values {
-			if v.Total() <= 0 {
-				t.Errorf("%s: empty bar", row.Bench)
-			}
 		}
 	}
 }
 
 func TestFig9Normalization(t *testing.T) {
 	opt := testOptions()
-	exp := mustExp(t, Fig9, opt)
+	exp := mustExp(t, "fig9", opt)
 	if len(exp.Systems) != 9 {
 		t.Fatalf("fig9 systems = %v", exp.Systems)
 	}
@@ -275,16 +269,8 @@ func TestValueTotal(t *testing.T) {
 	}
 }
 
-func TestItoa(t *testing.T) {
-	for n, want := range map[int]string{0: "0", 1: "1", 42: "42", 512: "512"} {
-		if itoa(n) != want {
-			t.Errorf("itoa(%d) = %q", n, itoa(n))
-		}
-	}
-}
-
 func TestFig3Structure(t *testing.T) {
-	exp := mustExp(t, Fig3, testOptions())
+	exp := mustExp(t, "fig3", testOptions())
 	if len(exp.Systems) != 9 {
 		t.Fatalf("fig3 systems = %v, want 3 assoc x 3 NC sizes", exp.Systems)
 	}
@@ -306,7 +292,7 @@ func TestFig3Structure(t *testing.T) {
 }
 
 func TestFig6Structure(t *testing.T) {
-	exp := mustExp(t, Fig6, testOptions())
+	exp := mustExp(t, "fig6", testOptions())
 	want := []string{"ncp5-adaptive", "ncp5-fixed32", "ncp20-adaptive", "ncp20-fixed32"}
 	if len(exp.Systems) != len(want) {
 		t.Fatalf("fig6 systems = %v", exp.Systems)
@@ -326,7 +312,7 @@ func TestFig6Structure(t *testing.T) {
 }
 
 func TestFig7Structure(t *testing.T) {
-	exp := mustExp(t, Fig7, testOptions())
+	exp := mustExp(t, "fig7", testOptions())
 	if len(exp.Systems) != 12 {
 		t.Fatalf("fig7 systems = %v", exp.Systems)
 	}
@@ -345,7 +331,7 @@ func TestFig7Structure(t *testing.T) {
 }
 
 func TestFig11Structure(t *testing.T) {
-	exp := mustExp(t, Fig11, testOptions())
+	exp := mustExp(t, "fig11", testOptions())
 	if len(exp.Systems) != 3 {
 		t.Fatalf("fig11 systems = %v", exp.Systems)
 	}
@@ -424,25 +410,6 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	}
 	if direct.Counters != viaTrace.Counters {
 		t.Fatal("trace-driven run diverged from generator-driven run")
-	}
-}
-
-func TestContentionAblationRanks(t *testing.T) {
-	opt := testOptions()
-	exp := mustExp(t, AblationContention, opt)
-	if len(exp.Systems) != 4 {
-		t.Fatalf("systems = %v", exp.Systems)
-	}
-	for _, row := range exp.Rows {
-		for i, v := range row.Values {
-			if v.Norm <= 0 {
-				t.Errorf("%s/%s: norm %v", row.Bench, exp.Systems[i], v.Norm)
-			}
-			// Contention can only lengthen stalls: the corrected stall
-			// must be >= the flat model's.
-			flat := Value{Stall: v.Stall}
-			_ = flat
-		}
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 	"dsmnc/workload"
 )
 
-// This file regenerates every table and figure of the paper's evaluation
-// (§6). Each FigN function runs the figure's systems over the eight
-// benchmarks in parallel and returns an Experiment whose rows mirror the
-// paper's bar groups. EXPERIMENTS.md records the measured outcomes next
-// to the paper's.
+// This file holds the sweep engine behind every table and figure of the
+// paper's evaluation (§6): runMatrix runs a figure's cells in parallel,
+// journaled and retried, and figures.go declares what each figure runs
+// and how its cells become bars. EXPERIMENTS.md records the measured
+// outcomes next to the paper's.
 
 // Value is one bar of a figure: the miss-ratio decomposition for
 // Figures 3-8, plus the normalized metric for Figures 9-11.
@@ -288,17 +288,6 @@ func runMatrix(exp string, jobs []runJob, rows, cols int) ([][]Result, []CellFai
 	return out, failed, nil
 }
 
-// matrix runs every benchmark against every system with shared options.
-func matrix(exp string, benches []*workload.Bench, systems []System, opt Options) ([][]Result, []CellFailure, error) {
-	var jobs []runJob
-	for r, b := range benches {
-		for c, s := range systems {
-			jobs = append(jobs, runJob{bench: b, sys: s, opt: opt, row: r, col: c})
-		}
-	}
-	return runMatrix(exp, jobs, len(benches), len(systems))
-}
-
 func ratioValue(res Result) Value {
 	if res.Refs == 0 {
 		return Value{} // failed (or empty) cell: keep the bar at zero
@@ -308,248 +297,6 @@ func ratioValue(res Result) Value {
 		Read: rt.ReadMissPct, Write: rt.WriteMissPct, Reloc: rt.RelocPct,
 		Stall: res.Stall(), Traffic: res.Traffic(),
 	}
-}
-
-// Sweep runs every benchmark in benches against every system in systems
-// and collects the miss-ratio decomposition of each cell. It is the
-// generic engine behind the figure drivers, exported for custom design
-// sweeps. With opt.KeepGoing, failing cells are recorded in
-// Experiment.Failed instead of aborting the sweep.
-func Sweep(id, title string, benches []*workload.Bench, systems []System, opt Options) (Experiment, error) {
-	results, failed, err := matrix(id, benches, systems, opt)
-	if err != nil {
-		return Experiment{}, err
-	}
-	exp := Experiment{ID: id, Title: title, Metric: "miss-ratio %", Failed: failed}
-	for _, s := range systems {
-		exp.Systems = append(exp.Systems, s.Name)
-	}
-	for r, b := range benches {
-		row := Row{Bench: b.Name}
-		for c := range systems {
-			row.Values = append(row.Values, ratioValue(results[r][c]))
-		}
-		exp.Rows = append(exp.Rows, row)
-	}
-	return exp, nil
-}
-
-func ratioExperiment(id, title string, systems []System, opt Options) (Experiment, error) {
-	return Sweep(id, title, workload.All(opt.Scale), systems, opt)
-}
-
-// Fig3 regenerates Figure 3: cluster miss ratios for processor-cache
-// associativities 1/2/4 and victim NC sizes 0, 1 KB, 16 KB.
-func Fig3(opt Options) (Experiment, error) {
-	benches := workload.All(opt.Scale)
-	assocs := []int{1, 2, 4}
-	ncSizes := []int{0, 1 << 10, 16 << 10}
-	labels := []string{"vb0", "vb1", "vb16"}
-
-	var jobs []runJob
-	var systems []string
-	col := 0
-	for _, ways := range assocs {
-		for si, ncb := range ncSizes {
-			o := opt
-			o.L1Ways = ways
-			sys := Base()
-			sys.Name = labels[si]
-			if ncb > 0 {
-				sys = VB(ncb)
-				sys.Name = labels[si]
-			}
-			sys.Name = itoa(ways) + "w-" + sys.Name
-			systems = append(systems, sys.Name)
-			for r, b := range benches {
-				jobs = append(jobs, runJob{bench: b, sys: sys, opt: o, row: r, col: col})
-			}
-			col++
-		}
-	}
-	results, failed, err := runMatrix("fig3", jobs, len(benches), col)
-	if err != nil {
-		return Experiment{}, err
-	}
-	exp := Experiment{
-		ID:      "fig3",
-		Title:   "Effects of the network victim cache on the cluster remote miss ratio",
-		Metric:  "miss-ratio %",
-		Systems: systems,
-		Failed:  failed,
-	}
-	for r, b := range benches {
-		row := Row{Bench: b.Name}
-		for c := 0; c < col; c++ {
-			row.Values = append(row.Values, ratioValue(results[r][c]))
-		}
-		exp.Rows = append(exp.Rows, row)
-	}
-	return exp, nil
-}
-
-// Fig4 regenerates Figure 4: inclusion (nc) versus victim (vb) NCs.
-func Fig4(opt Options) (Experiment, error) {
-	return ratioExperiment("fig4",
-		"Cluster miss ratios for different ways of integrating the NC",
-		[]System{NC(16 << 10), VB(16 << 10)}, opt)
-}
-
-// Fig5 regenerates Figure 5: block- versus page-address victim indexing.
-func Fig5(opt Options) (Experiment, error) {
-	return ratioExperiment("fig5",
-		"Cluster miss ratios for different ways of indexing the victim cache",
-		[]System{VB(16 << 10), VP(16 << 10)}, opt)
-}
-
-// Fig6 regenerates Figure 6: adaptive versus fixed relocation threshold
-// for ncp5. Because this reproduction's traces are far shorter than the
-// paper's, the ncp5 page cache rarely completes a monitoring window; the
-// 1/20 page-cache columns are added per the paper's own remark that
-// "with smaller page caches, thrashing occurs in other applications as
-// well" — there the adaptive policy visibly backs the thrashing off.
-func Fig6(opt Options) (Experiment, error) {
-	mk := func(frac int, adaptive bool) System {
-		s := NCPFrac(16<<10, frac)
-		if adaptive {
-			s.Name += "-adaptive"
-		} else {
-			s.Name += "-fixed32"
-			s.Adaptive = false
-		}
-		return s
-	}
-	return ratioExperiment("fig6",
-		"Adaptive vs fixed (32) relocation threshold policies",
-		[]System{mk(5, true), mk(5, false), mk(20, true), mk(20, false)}, opt)
-}
-
-// Fig7 regenerates Figure 7: systems with page caches (no NC, ncp, vbp)
-// at page-cache sizes 0, 1/9, 1/7 and 1/5 of the data set.
-func Fig7(opt Options) (Experiment, error) {
-	var systems []System
-	for _, frac := range []int{0, 9, 7, 5} {
-		if frac == 0 {
-			s := Base()
-			s.Name = "pc0"
-			systems = append(systems, s)
-		} else {
-			systems = append(systems, PCOnly(frac))
-		}
-	}
-	for _, frac := range []int{0, 9, 7, 5} {
-		if frac == 0 {
-			s := NC(16 << 10)
-			s.Name = "ncp0"
-			systems = append(systems, s)
-		} else {
-			s := NCPFrac(16<<10, frac)
-			systems = append(systems, s)
-		}
-	}
-	for _, frac := range []int{0, 9, 7, 5} {
-		if frac == 0 {
-			s := VB(16 << 10)
-			s.Name = "vbp0"
-			systems = append(systems, s)
-		} else {
-			systems = append(systems, VBPFrac(16<<10, frac))
-		}
-	}
-	return ratioExperiment("fig7",
-		"Cluster miss ratios for systems with page caches",
-		systems, opt)
-}
-
-// Fig8 regenerates Figure 8: victim indexing with a 1/5 page cache.
-func Fig8(opt Options) (Experiment, error) {
-	return ratioExperiment("fig8",
-		"Cluster miss ratios with page cache: block vs page victim indexing",
-		[]System{VBPFrac(16<<10, 5), VPPFrac(16<<10, 5)}, opt)
-}
-
-// fig9Systems are the bars of Figures 9 and 10: the 512 KB-DRAM
-// comparison plus the proportional (1/5) page caches.
-func fig9Systems() []System {
-	const pc512 = 512 << 10
-	return []System{
-		Base(),
-		NCS(),
-		NCD(),
-		NCP(16<<10, pc512),
-		VBP(16<<10, pc512),
-		VPP(16<<10, pc512),
-		NCPFrac(16<<10, 5),
-		VBPFrac(16<<10, 5),
-		VPPFrac(16<<10, 5),
-	}
-}
-
-// normalizedExperiment runs the systems plus the infinite-DRAM baseline
-// and normalizes the chosen metric.
-func normalizedExperiment(id, title, metric string, systems []System, opt Options,
-	metricOf func(Result) float64) (Experiment, error) {
-
-	benches := workload.All(opt.Scale)
-	all := append([]System{InfiniteDRAM()}, systems...)
-	results, failed, err := matrix(id, benches, all, opt)
-	if err != nil {
-		return Experiment{}, err
-	}
-	// The baseline occupies column 0 of the matrix but not of the
-	// experiment; shift failure columns accordingly (a failed baseline
-	// cell reports as column -1).
-	for i := range failed {
-		failed[i].Col--
-	}
-	exp := Experiment{ID: id, Title: title, Metric: metric, Failed: failed}
-	for _, s := range systems {
-		exp.Systems = append(exp.Systems, s.Name)
-	}
-	for r, b := range benches {
-		row := Row{Bench: b.Name}
-		base := metricOf(results[r][0])
-		for c := 1; c < len(all); c++ {
-			v := ratioValue(results[r][c])
-			if base > 0 {
-				v.Norm = metricOf(results[r][c]) / base
-			}
-			row.Values = append(row.Values, v)
-		}
-		exp.Rows = append(exp.Rows, row)
-	}
-	return exp, nil
-}
-
-// Fig9 regenerates Figure 9: remote read stalls normalized to a system
-// with an infinite DRAM NC.
-func Fig9(opt Options) (Experiment, error) {
-	return normalizedExperiment("fig9", "Remote read stalls", "normalized stall",
-		fig9Systems(), opt,
-		func(r Result) float64 { return float64(r.Stall().Total()) })
-}
-
-// Fig10 regenerates Figure 10: remote data traffic, same systems and
-// normalization as Figure 9.
-func Fig10(opt Options) (Experiment, error) {
-	return normalizedExperiment("fig10", "Remote data traffic", "normalized traffic",
-		fig9Systems(), opt,
-		func(r Result) float64 { return float64(r.Traffic().Total()) })
-}
-
-// Fig11 regenerates Figure 11: directory-controlled relocation counters
-// (ncp5) versus victim-cache-controlled counters (vxp5, thresholds 32
-// and 64).
-func Fig11(opt Options) (Experiment, error) {
-	return normalizedExperiment("fig11",
-		"Remote read stalls: directory vs victim-cache relocation counters",
-		"normalized stall",
-		[]System{
-			NCPFrac(16<<10, 5),
-			VXPFrac(16<<10, 5, 32),
-			VXPFrac(16<<10, 5, 64),
-		}, opt,
-		func(r Result) float64 { return float64(r.Stall().Total()) })
 }
 
 // Table3Row is one row of the regenerated Table 3.
@@ -584,33 +331,4 @@ func Table3(opt Options) []Table3Row {
 		})
 	}
 	return rows
-}
-
-// Experiments maps experiment ids to their drivers.
-func Experiments() map[string]func(Options) (Experiment, error) {
-	return map[string]func(Options) (Experiment, error){
-		"fig3":  Fig3,
-		"fig4":  Fig4,
-		"fig5":  Fig5,
-		"fig6":  Fig6,
-		"fig7":  Fig7,
-		"fig8":  Fig8,
-		"fig9":  Fig9,
-		"fig10": Fig10,
-		"fig11": Fig11,
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -109,9 +109,12 @@ func TestWriteTable3Render(t *testing.T) {
 }
 
 func TestAblationRegistry(t *testing.T) {
-	abl := Ablations()
+	ids := map[string]bool{}
+	for _, f := range Figures() {
+		ids[f.ID] = true
+	}
 	for _, id := range []string{"ablate-ostate", "ablate-decr", "ablate-ncsize", "ablate-ncways", "ablate-threshold"} {
-		if abl[id] == nil {
+		if !ids[id] {
 			t.Errorf("ablation %s missing", id)
 		}
 	}

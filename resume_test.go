@@ -104,7 +104,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 		t.Skip("three fig9 passes are too heavy for -short")
 	}
 	opt := testOptions()
-	want := mustExp(t, Fig9, opt)
+	want := mustExp(t, "fig9", opt)
 
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	j1, err := OpenJournal(path, false)
@@ -121,7 +121,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Fig9(opt1); !errors.Is(err, killed) {
+	if _, err := figure(t, "fig9").Run(opt1); !errors.Is(err, killed) {
 		t.Fatalf("interrupted sweep error = %v, want the injected kill", err)
 	}
 	j1.Close()
@@ -134,7 +134,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 	if got := j2.Completed(); got != 7 {
 		t.Fatalf("journal holds %d cells after the kill, want 7", got)
 	}
-	total := len(workload.All(opt.Scale)) * (len(fig9Systems()) + 1)
+	total := len(workload.All(opt.Scale)) * (len(figure(t, "fig9").columns) + 1)
 	var reruns atomic.Int64
 	opt2 := opt
 	opt2.Journal = j2
@@ -142,7 +142,7 @@ func TestInterruptedSweepResumes(t *testing.T) {
 		reruns.Add(1)
 		return nil
 	}
-	got := mustExp(t, Fig9, opt2)
+	got := mustExp(t, "fig9", opt2)
 	if n := reruns.Load(); n != int64(total-7) {
 		t.Fatalf("resume re-ran %d cells, want %d", n, total-7)
 	}
