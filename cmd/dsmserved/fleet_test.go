@@ -121,8 +121,11 @@ func fleetKillPartitionGolden(t *testing.T, servedBin, workerBin string) {
 		t.Fatalf("duplicate submission got job %q, want coalescing onto %q", again, acked[0].id)
 	}
 
-	// Let the sweep get going, then murder w1 outright.
+	// Let the sweep get going, then murder w1 outright — once it holds
+	// running work: ring routing can leave a node idle, and killing an
+	// idle node costs no lease.
 	waitMetricAtLeast(t, coord.base, "dsmnc_serve_done_total", 8, 120*time.Second)
+	waitMetricAtLeast(t, w1.base, "dsmnc_serve_worker_busy", 1, 60*time.Second)
 	if err := w1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +135,8 @@ func fleetKillPartitionGolden(t *testing.T, servedBin, workerBin string) {
 	// directly) but the coordinator's traffic blackholes. The fabric
 	// must treat unreachable as dead — more leases lost — while the
 	// direct probe proves the process never crashed.
+	// w2's own /metrics is reachable directly, behind the proxy.
+	waitMetricAtLeast(t, w2.base, "dsmnc_serve_worker_busy", 1, 60*time.Second)
 	lostBefore := metricValue(t, coord.base, "dsmnc_serve_lease_lost_total")
 	px.drop()
 	resp, err := http.Get("http://" + w2.addr() + "/healthz")

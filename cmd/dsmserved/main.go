@@ -11,7 +11,7 @@
 //	dsmserved [-addr :8080] [-workers N] [-queue 256] [-timeout 0]
 //	          [-max-timeout 0] [-keep 1024] [-drain 30s] [-q]
 //	          [-ledger path] [-ledger-compact N] [-watchdog 3]
-//	          [-lease 15s] [-retries 2] [-chaos seed]
+//	          [-lease 15s] [-retries 2]
 //	          [-fleet host:port,host:port,...]
 //
 // With -ledger the server is crash-safe: every acknowledged job is
@@ -25,10 +25,8 @@
 //
 // Execution runs on the serve package's lease-based executor fabric
 // (docs/robustness.md §6): -lease sets the heartbeat TTL after which a
-// silent attempt is revoked and reassigned, -retries bounds the
-// reassignments, and -chaos (dev/test only) adds a second executor that
-// injects seeded crash/stall/slow/drop/duplicate faults so the fabric
-// can be exercised end to end.
+// silent attempt is revoked and reassigned, and -retries bounds the
+// reassignments.
 //
 // With -fleet the coordinator stops running cells itself and dispatches
 // them to dsmworker nodes over the fleet wire protocol, one
@@ -100,7 +98,6 @@ func main() {
 		leaseTTL   = flag.Duration("lease", 15*time.Second, "executor lease TTL: a running attempt silent this long is revoked and reassigned; 0 disables leases")
 		retries    = flag.Int("retries", 2, "reassignments after lease losses before a job fails; 0 disables retries")
 		fleet      = flag.String("fleet", "", "comma-separated dsmworker addresses (host:port,...); execution moves to the fleet, one fault domain per node")
-		chaosSeed  = flag.Int64("chaos", 0, "DEV ONLY: add a chaos executor injecting seeded crash/stall/slow/drop/duplicate faults; 0 disables")
 		quiet      = flag.Bool("q", false, "suppress the startup and shutdown log lines")
 	)
 	flag.Parse()
@@ -146,16 +143,6 @@ func main() {
 	}
 	if *retries == 0 {
 		cfg.MaxRetries = -1
-	}
-	if *chaosSeed != 0 && *fleet != "" {
-		log.Fatal("-chaos and -fleet are mutually exclusive: chaos faults belong on a local executor, not a live fleet")
-	}
-	if *chaosSeed != 0 {
-		cfg.Executors = []serve.Executor{
-			serve.Local("local"),
-			serve.NewChaosExecutor(serve.Local("chaos"), serve.ChaosConfig{Seed: *chaosSeed}),
-		}
-		log.Printf("CHAOS MODE (dev/test only): half the dispatches land on an executor injecting seeded faults (seed %d)", *chaosSeed)
 	}
 	if *fleet != "" {
 		addrs, err := parseFleet(*fleet)

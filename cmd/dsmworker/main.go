@@ -1,10 +1,10 @@
-// Command dsmworker is one worker node of a dsmnc fleet: a bounded
-// local task pool behind the fleet wire protocol, dispatched onto by a
-// dsmserved coordinator running one RemoteExecutor fault domain per
-// node (docs/serving.md "Running a fleet"). The worker holds no
-// durable state — the coordinator's ledger is the source of truth —
-// so killing a worker loses nothing: its leases expire and the
-// coordinator reassigns the work.
+// Command dsmworker is one worker node of a dsmnc fleet: a ledgerless,
+// leaseless serve.Scheduler behind an epoch-checking wire adapter
+// (serve.Worker), dispatched onto by a dsmserved coordinator running
+// one RemoteExecutor fault domain per node (docs/serving.md "Running a
+// fleet"). The worker holds no durable state — the coordinator's
+// ledger is the source of truth — so killing a worker loses nothing:
+// its leases expire and the coordinator reassigns the work.
 //
 // The pool sheds instead of growing: past -slots running plus -queue
 // waiting tasks, a dispatch answers 429 and the coordinator retries
@@ -33,8 +33,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -155,15 +157,11 @@ func newHandler(w *serve.Worker, reg *telemetry.Registry) http.Handler {
 		return n
 	}
 	mux.HandleFunc("POST /v1/tasks", func(rw http.ResponseWriter, r *http.Request) {
-		body := make([]byte, 0, 4096)
-		buf := make([]byte, 4096)
-		reader := http.MaxBytesReader(rw, r.Body, serve.MaxWireRequestBytes+1)
-		for {
-			n, err := reader.Read(buf)
-			body = append(body, buf[:n]...)
-			if err != nil {
-				break
-			}
+		body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, serve.MaxWireRequestBytes+1))
+		if err != nil {
+			ans, _ := json.Marshal(map[string]string{"error": err.Error()})
+			answer(rw, http.StatusBadRequest, ans)
+			return
 		}
 		code, ans := w.Dispatch(body)
 		answer(rw, code, ans)

@@ -14,8 +14,8 @@ package serve
 //
 // The in-process implementation is Local(): it runs the cell engine on
 // the scheduler's own worker pool, heartbeating from a sidecar ticker
-// so a live computation of any length keeps its lease. A remote
-// transport (ROADMAP item 1) implements the same three-method surface —
+// so a live computation of any length keeps its lease. The remote
+// transport (RemoteExecutor, remote.go) implements the same surface —
 // Execute with a lease to renew and a context that means "the
 // scheduler gave up on you" — and inherits failure detection, retries
 // and the chaos proof without touching the scheduler.

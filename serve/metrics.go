@@ -14,9 +14,9 @@ import (
 // totals, and the queue-wait and run-latency histograms.
 func (s *Scheduler) RegisterMetrics(r *telemetry.Registry) error {
 	regs := []error{
-		r.Gauge("dsmnc_serve_queue_depth", "Jobs waiting in the bounded FIFO queue.",
-			func() float64 { return float64(len(s.queue)) }),
-		r.Gauge("dsmnc_serve_queue_capacity", "Bound of the FIFO queue; submissions beyond it shed.",
+		r.Gauge("dsmnc_serve_queue_depth", "Admitted jobs beyond what the worker pool runs at once.",
+			func() float64 { depth, _ := s.QueueDepth(); return float64(depth) }),
+		r.Gauge("dsmnc_serve_queue_capacity", "Bound of the queue depth; submissions beyond it shed.",
 			func() float64 { return float64(s.cfg.QueueDepth) }),
 		r.Gauge("dsmnc_serve_inflight", "Jobs currently executing on the worker pool.",
 			func() float64 { return float64(s.inflight.Load()) }),

@@ -491,17 +491,24 @@ func TestRetryAfterEstimate(t *testing.T) {
 
 	// Integration: a fresh scheduler's estimate is the 1s floor, and it
 	// grows once the histogram has observed real run latency.
-	s := mustTestScheduler(t, 1)
+	gate := make(chan struct{})
+	s, err := New(Config{Workers: 1, runFn: newFakeRunner(gate, 0).run})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s.RetryAfter(); got != time.Second {
 		t.Errorf("fresh RetryAfter = %v, want 1s", got)
 	}
 	s.runHist.Observe(30)
-	for i := 0; i < 8; i++ {
-		s.queue <- &job{state: StateCanceled} // depth without work: pre-canceled entries drain instantly
+	for n := 0; n < 9; n++ { // one gated run, eight waiting behind it
+		if _, err := s.Submit(req(n)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := s.RetryAfter(); got < 2*time.Second {
 		t.Errorf("loaded RetryAfter = %v; want an estimate above the floor", got)
 	}
+	close(gate)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -520,7 +527,7 @@ func TestRetryAfterFleetCapacity(t *testing.T) {
 	// returns the scheduler with the queue pinned at that depth.
 	loadFleet := func(pool, nodes, slots, depth int) (*Scheduler, chan struct{}) {
 		gate := make(chan struct{})
-		blocked := func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+		blocked := func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 			select {
 			case <-gate:
 				return dsmnc.Result{Refs: 1}, nil

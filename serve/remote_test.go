@@ -74,7 +74,7 @@ type fleetHarness struct {
 // newFleetHarness builds nodes running the given synthetic engine and a
 // scheduler dispatching onto them with hash routing, short leases and a
 // generous retry budget (overridable via mut).
-func newFleetHarness(t *testing.T, nodes int, run func(ctx context.Context, wt *workerTask) (dsmnc.Result, error), mut func(*Config)) *fleetHarness {
+func newFleetHarness(t *testing.T, nodes int, run func(ctx context.Context, wt *job) (dsmnc.Result, error), mut func(*Config)) *fleetHarness {
 	t.Helper()
 	h := &fleetHarness{}
 	var execs []Executor
@@ -111,9 +111,19 @@ func newFleetHarness(t *testing.T, nodes int, run func(ctx context.Context, wt *
 	return h
 }
 
+// drain drains the coordinator, then every node: a worker's pool lives
+// until its Drain, like any scheduler's.
+func (h *fleetHarness) drain(ctx context.Context) error {
+	errs := []error{h.s.Drain(ctx)}
+	for _, w := range h.workers {
+		errs = append(errs, w.Drain(ctx))
+	}
+	return errors.Join(errs...)
+}
+
 func TestRemoteExecutorCompletesJobs(t *testing.T) {
 	before := runtime.NumGoroutine()
-	h := newFleetHarness(t, 2, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	h := newFleetHarness(t, 2, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{System: wt.sys.Name, Bench: wt.bench.Name, Refs: int64(wt.req.NCBytes)}, nil
 	}, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -139,7 +149,7 @@ func TestRemoteExecutorCompletesJobs(t *testing.T) {
 	if got := h.s.fleetSlots(); got != 4 {
 		t.Fatalf("fleetSlots = %d; want 2 nodes x 2 slots", got)
 	}
-	if err := h.s.Drain(ctx); err != nil {
+	if err := h.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -151,7 +161,7 @@ func TestRemoteExecutorCompletesJobs(t *testing.T) {
 func TestRemoteExecutorPartitionReassigns(t *testing.T) {
 	before := runtime.NumGoroutine()
 	gate := make(chan struct{})
-	h := newFleetHarness(t, 2, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	h := newFleetHarness(t, 2, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-gate:
 			return dsmnc.Result{Refs: 42}, nil
@@ -168,9 +178,9 @@ func TestRemoteExecutorPartitionReassigns(t *testing.T) {
 	var homeIdx = -1
 	for homeIdx < 0 {
 		for i, w := range h.workers {
-			w.mu.Lock()
-			_, held := w.tasks[st.ID]
-			w.mu.Unlock()
+			w.s.mu.Lock()
+			_, held := w.s.jobs[st.ID]
+			w.s.mu.Unlock()
 			if held {
 				homeIdx = i
 				break
@@ -200,7 +210,7 @@ func TestRemoteExecutorPartitionReassigns(t *testing.T) {
 	if fin.Attempt < 2 {
 		t.Fatalf("job finished on attempt %d; want a reassignment", fin.Attempt)
 	}
-	if err := h.s.Drain(ctx); err != nil {
+	if err := h.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -211,7 +221,7 @@ func TestRemoteExecutorPartitionReassigns(t *testing.T) {
 // the first attempt — slowness must not read as death.
 func TestRemoteExecutorSlowIsNotDead(t *testing.T) {
 	before := runtime.NumGoroutine()
-	h := newFleetHarness(t, 1, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	h := newFleetHarness(t, 1, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-time.After(600 * time.Millisecond): // 4x the lease TTL
 			return dsmnc.Result{Refs: 1}, nil
@@ -233,7 +243,7 @@ func TestRemoteExecutorSlowIsNotDead(t *testing.T) {
 		t.Fatalf("slow-but-alive worker was treated as dead: attempt %d, %d reassignments",
 			fin.Attempt, h.s.reassigned.Load())
 	}
-	if err := h.s.Drain(ctx); err != nil {
+	if err := h.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -245,7 +255,7 @@ func TestRemoteExecutorSlowIsNotDead(t *testing.T) {
 func TestRemoteExecutorShedReassigns(t *testing.T) {
 	before := runtime.NumGoroutine()
 	gate := make(chan struct{})
-	h := newFleetHarness(t, 1, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	h := newFleetHarness(t, 1, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-gate:
 			return dsmnc.Result{Refs: 1}, nil
@@ -281,7 +291,7 @@ func TestRemoteExecutorShedReassigns(t *testing.T) {
 	if err != nil || fin.State != StateDone {
 		t.Fatalf("job after shed: %+v / %v", fin, err)
 	}
-	if err := h.s.Drain(ctx); err != nil {
+	if err := h.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -296,7 +306,7 @@ func TestRemoteExecutorConfigMismatchIsPermanent(t *testing.T) {
 	mism := dsmnc.DefaultOptions()
 	mism.L1Bytes *= 2
 	w, err := NewWorker(WorkerConfig{Slots: 1, Options: mism,
-		runFn: func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
+		runFn: func(ctx context.Context, wt *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +333,7 @@ func TestRemoteExecutorConfigMismatchIsPermanent(t *testing.T) {
 	if fin.Attempt != 1 {
 		t.Fatalf("mismatch burned %d attempts; permanent errors must not retry", fin.Attempt)
 	}
-	if err := s.Drain(ctx); err != nil {
+	if err := errors.Join(s.Drain(ctx), w.Drain(ctx)); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -333,7 +343,7 @@ func TestRemoteExecutorConfigMismatchIsPermanent(t *testing.T) {
 // coordinator cancels the worker-side task.
 func TestRemoteExecutorCancelPropagates(t *testing.T) {
 	before := runtime.NumGoroutine()
-	h := newFleetHarness(t, 1, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	h := newFleetHarness(t, 1, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		<-ctx.Done()
 		return dsmnc.Result{}, ctx.Err()
 	}, nil)
@@ -346,9 +356,9 @@ func TestRemoteExecutorCancelPropagates(t *testing.T) {
 	w := h.workers[0]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		w.mu.Lock()
-		_, held := w.tasks[st.ID]
-		w.mu.Unlock()
+		w.s.mu.Lock()
+		_, held := w.s.jobs[st.ID]
+		w.s.mu.Unlock()
 		if held {
 			break
 		}
@@ -370,13 +380,13 @@ func TestRemoteExecutorCancelPropagates(t *testing.T) {
 	// cancel), not done.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		w.mu.Lock()
-		wt, held := w.tasks[st.ID]
+		w.s.mu.Lock()
+		wt, held := w.s.jobs[st.ID]
 		state := StateQueued
 		if held {
 			state = wt.state
 		}
-		w.mu.Unlock()
+		w.s.mu.Unlock()
 		if held && state == StateCanceled {
 			break
 		}
@@ -385,7 +395,7 @@ func TestRemoteExecutorCancelPropagates(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := h.s.Drain(ctx); err != nil {
+	if err := h.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkNoGoroutineLeak(t, before)
@@ -395,7 +405,7 @@ func TestRemoteExecutorCancelPropagates(t *testing.T) {
 // probe (503) with a valid capacity document.
 func TestRemoteExecutorProbeDraining(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{Slots: 3,
-		runFn: func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
+		runFn: func(ctx context.Context, wt *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,9 @@ package serve
 // executor names alone, independent of registration order.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -30,11 +31,13 @@ type ring struct {
 }
 
 // hashKey hashes a routing key (a job ID) or a virtual-node label onto
-// the ring.
+// the ring. The hash must mix every input byte into the high bits:
+// worker addresses differ only in their port digits, and a hash that
+// does not (FNV-1a) clusters each node's virtual nodes and skews the
+// split.
 func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
+	sum := sha256.Sum256([]byte(key))
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
 // newRing builds the ring for a set of executor names. The ring is a
@@ -76,9 +79,8 @@ func (r *ring) order(key string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= hashKey(key)
-	})
+	h := hashKey(key)
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, len(r.names))
 	seen := map[string]bool{}
 	for i := 0; i < len(r.points) && len(out) < len(r.names); i++ {

@@ -97,7 +97,8 @@ const maxRetryBackoff = time.Minute
 type Config struct {
 	// Workers is the pool size; 0 means runtime.NumCPU().
 	Workers int
-	// QueueDepth bounds the FIFO queue; submissions beyond it shed
+	// QueueDepth bounds the jobs admitted beyond the running set:
+	// with Workers+QueueDepth jobs queued or running, submissions shed
 	// with ErrBusy. 0 means 256.
 	QueueDepth int
 	// DefaultTimeout bounds jobs that do not carry their own
@@ -222,6 +223,11 @@ type job struct {
 	exec          *execState
 	attemptCancel context.CancelFunc
 
+	// fleetEpoch is the newest fleet dispatch epoch a worker has seen
+	// for this job (worker.go); exchanges at older epochs are refused.
+	// Zero on a coordinator. Guarded by the scheduler's mu.
+	fleetEpoch uint64
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed on reaching a terminal state
@@ -260,6 +266,7 @@ type Scheduler struct {
 	mu           sync.Mutex
 	jobs         map[string]*job
 	doneOrder    []string // terminal job IDs, oldest first, for eviction
+	live         int      // queued + running jobs: the admission count
 	draining     bool
 	execs        []*execState // executor fault domains, fixed at New
 	execByName   map[string]*execState
@@ -390,8 +397,10 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		cfg:          cfg,
-		queue:        make(chan *job, cfg.QueueDepth),
+		cfg: cfg,
+		// Sized to the admission bound: jobs admitted before any pool
+		// goroutine has dequeued still fit.
+		queue:        make(chan *job, cfg.Workers+cfg.QueueDepth),
 		jobs:         map[string]*job{},
 		retryRNG:     rand.New(rand.NewSource(cfg.RetrySeed)),
 		ledger:       cfg.Ledger,
@@ -542,6 +551,7 @@ func (s *Scheduler) recoverFromLedger() []*job {
 			ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		}
 		s.jobs[j.id] = j
+		s.live++
 		if err != nil {
 			j.state = StateFailed
 			j.err = err
@@ -553,12 +563,7 @@ func (s *Scheduler) recoverFromLedger() []*job {
 		replay = append(replay, j)
 		s.replayedJobs.Add(1)
 	}
-	// Enforce the KeepResults bound over the restored cache.
-	for len(s.doneOrder) > s.cfg.KeepResults {
-		oldest := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		delete(s.jobs, oldest)
-	}
+	s.evictLocked()
 	return replay
 }
 
@@ -576,13 +581,7 @@ func (s *Scheduler) reenqueue(jobs []*job) {
 		case <-s.stopRecovery:
 			s.mu.Lock()
 			for _, k := range jobs[i:] {
-				if k.state == StateQueued {
-					k.state = StateCanceled
-					k.err = context.Canceled
-					k.finished = time.Now()
-					s.canceled.Add(1)
-					s.settleLocked(k)
-				}
+				s.cancelLocked(k) // never enqueued, so queued or already settled
 			}
 			s.mu.Unlock()
 			return
@@ -667,8 +666,9 @@ func jobID(req Request, opt dsmnc.Options) string {
 
 // Submit validates and enqueues one job. Submissions are idempotent: a
 // request whose job is already queued, running or finished returns that
-// job's current status without enqueueing anything. A full queue sheds
-// with ErrBusy; a draining scheduler with ErrDraining (which wraps
+// job's current status without enqueueing anything. With Workers +
+// QueueDepth jobs already queued or running, a submission sheds with
+// ErrBusy; a draining scheduler sheds with ErrDraining (which wraps
 // ErrBusy). Malformed requests fail with ErrBadRequest.
 func (s *Scheduler) Submit(req Request) (Status, error) {
 	req = req.normalized()
@@ -684,27 +684,65 @@ func (s *Scheduler) Submit(req Request) (Status, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j, _, err := s.submitLocked(id, req, bench, sys, opt, 0)
+	if err != nil {
+		return Status{}, err
+	}
+	return j.statusLocked(), nil
+}
+
+// errStaleEpoch refuses a fleet exchange carrying an older epoch than
+// the newest one the job has seen.
+var errStaleEpoch = errors.New("serve: stale fleet epoch")
+
+// checkFleetEpochLocked refuses an exchange at an epoch older than the
+// job's fleetEpoch; callers hold mu.
+func (j *job) checkFleetEpochLocked(epoch uint64) error {
+	if epoch < j.fleetEpoch {
+		return fmt.Errorf("%w: task %s is held at epoch %d; epoch %d is stale", errStaleEpoch, j.id, j.fleetEpoch, epoch)
+	}
+	return nil
+}
+
+// submitLocked admits one compiled job under id, or joins the job
+// already held under it: created reports which. A join at a newer fleet
+// epoch advances the job's, one at an older epoch is refused with
+// errStaleEpoch. Admission is exact: queued plus running jobs are
+// counted against Workers+QueueDepth, so a dispatch landing before a
+// pool goroutine has dequeued the previous one is not shed early.
+// Callers hold mu.
+func (s *Scheduler) submitLocked(id string, req Request, bench *workload.Bench, sys dsmnc.System, opt dsmnc.Options, epoch uint64) (j *job, created bool, err error) {
 	if existing, ok := s.jobs[id]; ok {
+		if err := existing.checkFleetEpochLocked(epoch); err != nil {
+			return nil, false, err
+		}
+		existing.fleetEpoch = epoch
 		s.deduped.Add(1)
-		return existing.statusLocked(), nil
+		return existing, false, nil
 	}
 	if s.draining {
 		s.shed.Add(1)
-		return Status{}, ErrDraining
+		return nil, false, ErrDraining
+	}
+	if s.live >= s.cfg.Workers+s.cfg.QueueDepth {
+		s.shed.Add(1)
+		return nil, false, ErrBusy
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
+	j = &job{
 		id: id, req: req, bench: bench, sys: sys, opt: opt,
-		state: StateQueued, queued: time.Now(),
+		state: StateQueued, queued: time.Now(), fleetEpoch: epoch,
 		ctx: ctx, cancel: cancel,
 		done: make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:
 	default:
+		// Canceled jobs still waiting in the channel can fill it under
+		// the live bound; shed rather than block under mu.
 		cancel()
 		s.shed.Add(1)
-		return Status{}, ErrBusy
+		return nil, false, ErrBusy
 	}
 	if s.ledger != nil {
 		// Durability before acknowledgement: the accepted record is
@@ -716,15 +754,16 @@ func (s *Scheduler) Submit(req Request) (Status, error) {
 			s.ledgerErrs.Add(1)
 			j.state = StateCanceled
 			cancel()
-			return Status{}, fmt.Errorf("serve: recording job %s in the ledger: %w", id, lerr)
+			return nil, false, fmt.Errorf("serve: recording job %s in the ledger: %w", id, lerr)
 		}
 	}
 	s.jobs[id] = j
+	s.live++
 	s.submitted.Add(1)
 	if p := s.cfg.Progress; p != nil {
 		p.CellsTotal.Add(1)
 	}
-	return j.statusLocked(), nil
+	return j, true, nil
 }
 
 // worker drains the queue until Drain closes it.
@@ -956,21 +995,13 @@ func (s *Scheduler) retryLoop() {
 func (s *Scheduler) settlePendingRetries(extra *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pend := s.retryPending
-	s.retryPending = nil
 	if extra != nil {
-		pend = append(pend, retryEntry{j: extra})
+		s.cancelLocked(extra)
 	}
-	for _, e := range pend {
-		if e.j.state != StateQueued {
-			continue
-		}
-		e.j.state = StateCanceled
-		e.j.err = context.Canceled
-		e.j.finished = time.Now()
-		s.canceled.Add(1)
-		s.settleLocked(e.j)
+	for _, e := range s.retryPending {
+		s.cancelLocked(e.j) // waiting out a backoff, so queued or already settled
 	}
+	s.retryPending = nil
 }
 
 // settleLocked finalizes a job that just reached a terminal state:
@@ -984,6 +1015,7 @@ func (s *Scheduler) settleLocked(j *job) {
 			p.CellsFailed.Add(1)
 		}
 	}
+	s.live--
 	j.cancel() // release the context's resources
 	s.notifyLocked(j)
 	for _, ch := range j.subs {
@@ -1009,15 +1041,20 @@ func (s *Scheduler) settleLocked(j *job) {
 	}
 
 	s.doneOrder = append(s.doneOrder, j.id)
-	for len(s.doneOrder) > s.cfg.KeepResults {
-		oldest := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		delete(s.jobs, oldest)
-	}
+	s.evictLocked()
 
 	if s.ledger != nil && s.terminalSince >= s.cfg.CompactEvery {
 		s.terminalSince = 0
 		s.compactLedgerLocked()
+	}
+}
+
+// evictLocked drops the oldest finished jobs beyond the KeepResults
+// bound; callers hold mu.
+func (s *Scheduler) evictLocked() {
+	for len(s.doneOrder) > s.cfg.KeepResults {
+		delete(s.jobs, s.doneOrder[0])
+		s.doneOrder = s.doneOrder[1:]
 	}
 }
 
@@ -1165,6 +1202,12 @@ func (s *Scheduler) Cancel(id string) (Status, error) {
 	if !ok {
 		return Status{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
+	s.cancelLocked(j)
+	return j.statusLocked(), nil
+}
+
+// cancelLocked is Cancel for a job already in hand; callers hold mu.
+func (s *Scheduler) cancelLocked(j *job) {
 	switch j.state {
 	case StateQueued:
 		j.state = StateCanceled
@@ -1175,7 +1218,6 @@ func (s *Scheduler) Cancel(id string) (Status, error) {
 	case StateRunning:
 		j.cancel()
 	}
-	return j.statusLocked(), nil
 }
 
 // Drain shuts the scheduler down gracefully: intake stops (submissions
@@ -1216,16 +1258,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		// observes the canceled context.
 		s.mu.Lock()
 		for _, j := range s.jobs {
-			switch j.state {
-			case StateQueued:
-				j.state = StateCanceled
-				j.err = context.Canceled
-				j.finished = time.Now()
-				s.canceled.Add(1)
-				s.settleLocked(j)
-			case StateRunning:
-				j.cancel()
-			}
+			s.cancelLocked(j)
 		}
 		s.mu.Unlock()
 		<-settled
@@ -1254,10 +1287,13 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// QueueDepth returns the current number of waiting jobs and the queue's
-// bound.
+// QueueDepth returns the number of admitted jobs beyond what the pool
+// runs at once — queued plus running jobs, less Workers — and its bound,
+// which exact admission never lets the depth pass.
 func (s *Scheduler) QueueDepth() (depth, capacity int) {
-	return len(s.queue), s.cfg.QueueDepth
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return max(s.live-s.cfg.Workers, 0), s.cfg.QueueDepth
 }
 
 // RetryAfter estimates how long a shed client should wait before

@@ -1,12 +1,15 @@
 package serve
 
-// The worker side of the fleet: a bounded local task pool a remote
-// coordinator dispatches onto over the wire protocol (wire.go). The
-// worker is transport-agnostic — Dispatch/Poll/CancelTask/Ready take
-// and return wire bytes plus an HTTP-shaped status code, and
-// cmd/dsmworker is thin framing around them — so every admission,
-// supersede and drain decision is unit-testable (and the decoder
-// fuzzable) without a socket.
+// The worker side of the fleet: a ledgerless, leaseless Scheduler
+// behind an epoch-checking wire adapter. A remote coordinator dispatches
+// onto it over the wire protocol (wire.go). The adapter is
+// transport-agnostic — Dispatch/Poll/CancelTask/Ready take and return
+// wire bytes plus an HTTP-shaped status code, and cmd/dsmworker is thin
+// framing around them — so every admission, supersede and drain
+// decision is unit-testable (and the decoder fuzzable) without a
+// socket. The bounded pool, admission, eviction and drain are the
+// scheduler's; the adapter adds only what a coordinator-facing node
+// needs on top.
 //
 // Contract highlights:
 //   - Shed, don't grow: beyond Slots running + QueueDepth waiting
@@ -28,13 +31,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dsmnc"
 	"dsmnc/telemetry"
-	"dsmnc/workload"
 )
 
 // WorkerConfig sizes a Worker. The zero value is usable: NumCPU slots,
@@ -55,64 +56,18 @@ type WorkerConfig struct {
 	Options dsmnc.Options
 
 	// runFn replaces the cell engine — the in-package test seam.
-	runFn func(ctx context.Context, t *workerTask) (dsmnc.Result, error)
-}
-
-// workerTask is the worker's record of one dispatched job.
-type workerTask struct {
-	id    string
-	req   Request
-	bench *workload.Bench
-	sys   dsmnc.System
-	opt   dsmnc.Options
-
-	// Guarded by the worker's mu. epoch is the newest dispatch epoch
-	// seen; older epochs are refused wherever they appear.
-	epoch   uint64
-	attempt int
-	state   State
-	res     dsmnc.Result
-	errMsg  string
-
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// wireLocked renders the task's current poll answer; callers hold mu.
-func (t *workerTask) wireLocked() WireResult {
-	wr := WireResult{ID: t.id, Epoch: t.epoch, State: t.state, Error: t.errMsg}
-	if t.state == StateDone {
-		r := t.res
-		wr.Result = &r
-	}
-	return wr
+	runFn func(ctx context.Context, j *job) (dsmnc.Result, error)
 }
 
 // Worker runs dispatched tasks on a bounded local pool. Create one with
 // NewWorker; all methods are safe for concurrent use.
 type Worker struct {
 	cfg WorkerConfig
-	sem chan struct{} // running-task slots
+	s   *Scheduler
 
-	mu        sync.Mutex
-	tasks     map[string]*workerTask
-	doneOrder []string // terminal task IDs, oldest first, for eviction
-	live      int      // queued + running tasks
-	running   int
-	draining  bool
-
-	wg sync.WaitGroup
-
-	admitted  atomic.Int64 // dispatches that created a task
-	joined    atomic.Int64 // dispatches coalesced onto an existing task
-	shed      atomic.Int64 // dispatches refused 429 at capacity
-	stale     atomic.Int64 // stale-epoch dispatches, polls and cancels refused
-	mismatch  atomic.Int64 // dispatches refused for an options-fingerprint mismatch
-	completed atomic.Int64
-	failed    atomic.Int64
-	canceled  atomic.Int64
-
-	runFn func(ctx context.Context, t *workerTask) (dsmnc.Result, error)
+	shed     atomic.Int64 // dispatches refused 429 at capacity
+	stale    atomic.Int64 // stale-epoch dispatches, polls and cancels refused
+	mismatch atomic.Int64 // dispatches refused for an options-fingerprint mismatch
 }
 
 // NewWorker builds a worker pool ready for dispatches.
@@ -126,28 +81,18 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.KeepResults <= 0 {
 		cfg.KeepResults = 256
 	}
-	if cfg.Options.Geometry.Clusters == 0 {
-		cfg.Options = dsmnc.DefaultOptions()
+	// The coordinator owns durability and supervision: no ledger, no
+	// leases, no retries here.
+	s, err := New(Config{
+		Workers: cfg.Slots, QueueDepth: cfg.QueueDepth, KeepResults: cfg.KeepResults,
+		Options:  cfg.Options,
+		LeaseTTL: -1, MaxRetries: -1,
+		runFn: cfg.runFn,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Options.Sampler != nil || cfg.Options.EventTrace != nil {
-		return nil, fmt.Errorf("%w: Sampler/EventTrace are single-run instruments; worker tasks run concurrently",
-			dsmnc.ErrConfig)
-	}
-	if cfg.Options.Journal != nil {
-		return nil, fmt.Errorf("%w: the sweep journal is not a worker result store", dsmnc.ErrConfig)
-	}
-	w := &Worker{
-		cfg:   cfg,
-		sem:   make(chan struct{}, cfg.Slots),
-		tasks: map[string]*workerTask{},
-	}
-	w.runFn = func(ctx context.Context, t *workerTask) (dsmnc.Result, error) {
-		return dsmnc.RunCell(ctx, "worker/"+t.id, t.bench, t.sys, t.opt)
-	}
-	if cfg.runFn != nil {
-		w.runFn = cfg.runFn
-	}
-	return w, nil
+	return &Worker{cfg: cfg, s: s}, nil
 }
 
 // Slots reports the worker's concurrent-task bound.
@@ -162,15 +107,33 @@ func (w *Worker) SlowDown(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	inner := w.runFn
-	w.runFn = func(ctx context.Context, t *workerTask) (dsmnc.Result, error) {
+	inner := w.s.runFn
+	w.s.runFn = func(ctx context.Context, j *job) (dsmnc.Result, error) {
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
 			return dsmnc.Result{}, ctx.Err()
 		}
-		return inner(ctx, t)
+		return inner(ctx, j)
 	}
+}
+
+// answerLocked renders a task's wire status under code; callers hold
+// the scheduler's mu.
+func answerLocked(code int, j *job) (int, []byte) {
+	wr := WireResult{ID: j.id, Epoch: j.fleetEpoch, State: j.state}
+	if j.err != nil {
+		wr.Error = j.err.Error()
+	}
+	if j.state == StateDone {
+		r := j.res
+		wr.Result = &r
+	}
+	body, err := wr.Encode()
+	if err != nil {
+		return 500, wireError(err)
+	}
+	return code, body
 }
 
 // Dispatch admits one task dispatch and returns the wire answer: 202
@@ -185,269 +148,129 @@ func (w *Worker) Dispatch(body []byte) (int, []byte) {
 	if err != nil {
 		return 400, wireError(err)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if t, ok := w.tasks[wr.ID]; ok {
-		if wr.Epoch < t.epoch {
-			w.stale.Add(1)
-			return 409, wireError(fmt.Errorf("task %s is held at epoch %d; dispatch epoch %d is stale", wr.ID, t.epoch, wr.Epoch))
-		}
-		if wr.Epoch > t.epoch {
-			t.epoch = wr.Epoch
-			t.attempt = wr.Attempt
-		}
-		w.joined.Add(1)
-		ans, aerr := t.wireLocked().Encode()
-		if aerr != nil {
-			return 500, wireError(aerr)
-		}
-		return 200, ans
-	}
-	if w.draining {
-		return 503, wireError(errors.New("worker draining"))
-	}
-	if w.live >= w.cfg.Slots+w.cfg.QueueDepth {
-		w.shed.Add(1)
-		return 429, wireError(fmt.Errorf("worker at capacity (%d running + %d queued)", w.running, w.live-w.running))
-	}
-	bench, sys, opt, cerr := wr.Request.compile(w.cfg.Options)
-	if cerr != nil {
-		return 400, wireError(fmt.Errorf("%w: dispatch does not compile on this worker: %v", ErrBadWire, cerr))
+	bench, sys, opt, err := wr.Request.compile(w.s.cfg.Options)
+	if err != nil {
+		return 400, wireError(fmt.Errorf("%w: dispatch does not compile on this worker: %v", ErrBadWire, err))
 	}
 	if fp := opt.Fingerprint(); fp != wr.Fingerprint {
 		w.mismatch.Add(1)
 		return 412, wireError(fmt.Errorf(
 			"options fingerprint %s does not match the dispatch's %s: worker base options differ from the coordinator's", fp, wr.Fingerprint))
 	}
-	if wr.Request.TimeoutMS > 0 {
-		opt.CellTimeout = time.Duration(wr.Request.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t := &workerTask{
-		id: wr.ID, req: wr.Request, bench: bench, sys: sys, opt: opt,
-		epoch: wr.Epoch, attempt: wr.Attempt, state: StateQueued,
-		cancel: cancel, done: make(chan struct{}),
-	}
-	w.tasks[t.id] = t
-	w.live++
-	w.admitted.Add(1)
-	w.wg.Add(1)
-	go w.run(ctx, t)
-	ans, aerr := t.wireLocked().Encode()
-	if aerr != nil {
-		return 500, wireError(aerr)
-	}
-	return 202, ans
-}
+	opt.CellTimeout = w.s.timeoutFor(wr.Request)
 
-// run executes one admitted task: wait for a slot (cancelable), run the
-// engine, settle. One goroutine per live task; the slot semaphore is
-// what bounds actual concurrency.
-func (w *Worker) run(ctx context.Context, t *workerTask) {
-	defer w.wg.Done()
-	select {
-	case w.sem <- struct{}{}:
-	case <-ctx.Done():
-		w.settle(t, dsmnc.Result{}, context.Cause(ctx))
-		return
-	}
-	defer func() { <-w.sem }()
-	w.mu.Lock()
-	if t.state != StateQueued {
-		w.mu.Unlock()
-		return
-	}
-	t.state = StateRunning
-	w.running++
-	w.mu.Unlock()
-	res, err := w.runFn(ctx, t)
-	w.settle(t, res, err)
-}
-
-// settle records one task's outcome: done, canceled (its context was
-// canceled — a coordinator cancel or a worker drain, which the
-// coordinator treats as a surrendered lease), or failed (an engine or
-// deadline error, permanent). Terminal tasks stay pollable until the
-// KeepResults eviction reclaims them.
-func (w *Worker) settle(t *workerTask, res dsmnc.Result, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if t.state.Terminal() {
-		return
-	}
-	if t.state == StateRunning {
-		w.running--
-	}
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	j, created, err := w.s.submitLocked(wr.ID, wr.Request, bench, sys, opt, wr.Epoch)
 	switch {
-	case err == nil:
-		t.state = StateDone
-		t.res = res
-		w.completed.Add(1)
-	case errors.Is(err, context.Canceled):
-		t.state = StateCanceled
-		t.errMsg = err.Error()
-		w.canceled.Add(1)
-	default:
-		t.state = StateFailed
-		t.errMsg = err.Error()
-		w.failed.Add(1)
+	case errors.Is(err, errStaleEpoch):
+		w.stale.Add(1)
+		return 409, wireError(err)
+	case errors.Is(err, ErrDraining):
+		return 503, wireError(errors.New("worker draining"))
+	case errors.Is(err, ErrBusy):
+		w.shed.Add(1)
+		return 429, wireError(fmt.Errorf("worker at capacity (%d slots + %d queued)", w.cfg.Slots, w.cfg.QueueDepth))
+	case err != nil:
+		return 500, wireError(err)
+	case created:
+		return answerLocked(202, j)
 	}
-	t.cancel()
-	close(t.done)
-	w.live--
-	w.doneOrder = append(w.doneOrder, t.id)
-	for len(w.doneOrder) > w.cfg.KeepResults {
-		oldest := w.doneOrder[0]
-		w.doneOrder = w.doneOrder[1:]
-		delete(w.tasks, oldest)
+	return answerLocked(200, j)
+}
+
+// held runs act on one held task at one epoch and answers its status:
+// 404 for a task this worker does not hold (never dispatched, evicted,
+// or a restarted worker — the coordinator reassigns), 409 for a stale
+// epoch.
+func (w *Worker) held(id string, epoch uint64, act func(j *job)) (int, []byte) {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	j, ok := w.s.jobs[id]
+	if !ok {
+		return 404, wireError(fmt.Errorf("unknown task %s", id))
 	}
+	if err := j.checkFleetEpochLocked(epoch); err != nil {
+		w.stale.Add(1)
+		return 409, wireError(err)
+	}
+	act(j)
+	return answerLocked(200, j)
 }
 
 // Poll answers a coordinator's status poll for one task at one epoch:
-// 200 with the WireResult, 404 for a task this worker does not hold
-// (never dispatched, evicted, or a restarted worker — the coordinator
-// reassigns), 409 for a stale epoch. A poll is the wire form of a lease
-// heartbeat: a coordinator only renews while polls answer.
+// 200 with the WireResult, 404 unknown, 409 stale. A poll is the wire
+// form of a lease heartbeat: a coordinator only renews while polls
+// answer.
 func (w *Worker) Poll(id string, epoch uint64) (int, []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t, ok := w.tasks[id]
-	if !ok {
-		return 404, wireError(fmt.Errorf("unknown task %s", id))
-	}
-	if epoch < t.epoch {
-		w.stale.Add(1)
-		return 409, wireError(fmt.Errorf("task %s is held at epoch %d; poll epoch %d is stale", id, t.epoch, epoch))
-	}
-	if epoch > t.epoch {
-		t.epoch = epoch
-	}
-	ans, err := t.wireLocked().Encode()
-	if err != nil {
-		return 500, wireError(err)
-	}
-	return 200, ans
+	return w.held(id, epoch, func(j *job) { j.fleetEpoch = epoch })
 }
 
 // CancelTask cancels one live task at one epoch: 200 with the task's
-// status (cancellation is asynchronous; the engine notices at its next
-// poll), 404 unknown, 409 stale — a cancel from a superseded attempt
-// must not kill the computation a newer attempt is waiting on.
+// status (cancellation of a running task is asynchronous; the engine
+// notices at its next poll), 404 unknown, 409 stale — a cancel from a
+// superseded attempt must not kill the computation a newer attempt is
+// waiting on.
 func (w *Worker) CancelTask(id string, epoch uint64) (int, []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t, ok := w.tasks[id]
-	if !ok {
-		return 404, wireError(fmt.Errorf("unknown task %s", id))
-	}
-	if epoch < t.epoch {
-		w.stale.Add(1)
-		return 409, wireError(fmt.Errorf("task %s is held at epoch %d; cancel epoch %d is stale", id, t.epoch, epoch))
-	}
-	if !t.state.Terminal() {
-		t.cancel()
-	}
-	ans, err := t.wireLocked().Encode()
-	if err != nil {
-		return 500, wireError(err)
-	}
-	return 200, ans
+	return w.held(id, epoch, w.s.cancelLocked)
+}
+
+// load reports the running and waiting task counts.
+func (w *Worker) load() (busy, queued int) {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	busy = int(w.s.inflight.Load())
+	return busy, max(w.s.live-busy, 0)
 }
 
 // Ready answers the readiness probe: 200 while accepting dispatches,
 // 503 while draining — either way the body is the worker's capacity
 // account, which is how a coordinator learns the fleet's slot total.
 func (w *Worker) Ready() (int, []byte) {
-	w.mu.Lock()
-	rd := WireReady{
-		Ready:  !w.draining,
-		Reason: "ok",
-		Slots:  w.cfg.Slots,
-		Busy:   w.running,
-		Queued: w.live - w.running,
+	rd := WireReady{Ready: !w.s.Draining(), Reason: "ok", Slots: w.cfg.Slots}
+	rd.Busy, rd.Queued = w.load()
+	code := 200
+	if !rd.Ready {
+		rd.Reason, code = "draining", 503
 	}
-	if w.draining {
-		rd.Reason = "draining"
-	}
-	w.mu.Unlock()
 	body, err := rd.Encode()
 	if err != nil {
 		return 500, wireError(err)
 	}
-	if !rd.Ready {
-		return 503, body
-	}
-	return 200, body
+	return code, body
 }
 
 // Drain stops intake (dispatches answer 503) and waits for live tasks
 // to settle; once ctx ends the stragglers are canceled and awaited.
 // Polls keep answering throughout, so a coordinator collects results
 // from a draining worker right up to its exit.
-func (w *Worker) Drain(ctx context.Context) error {
-	w.mu.Lock()
-	w.draining = true
-	w.mu.Unlock()
-	settled := make(chan struct{})
-	go func() {
-		w.wg.Wait()
-		close(settled)
-	}()
-	var err error
-	select {
-	case <-settled:
-	case <-ctx.Done():
-		w.mu.Lock()
-		for _, t := range w.tasks {
-			if !t.state.Terminal() {
-				t.cancel()
-			}
-		}
-		w.mu.Unlock()
-		<-settled
-		err = ctx.Err()
-	}
-	return err
-}
-
-// Draining reports whether the worker has stopped accepting dispatches.
-func (w *Worker) Draining() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.draining
-}
+func (w *Worker) Drain(ctx context.Context) error { return w.s.Drain(ctx) }
 
 // RegisterMetrics exposes the worker on a telemetry registry as the
-// dsmnc_serve_worker_* series (docs/observability.md).
+// dsmnc_serve_worker_* series (docs/observability.md). The underlying
+// scheduler's own dsmnc_serve_* series are deliberately not registered:
+// a scrape merging a coordinator's and a worker's metrics must not see
+// two values under one name.
 func (w *Worker) RegisterMetrics(r *telemetry.Registry) error {
+	s := w.s
 	regs := []error{
 		r.Gauge("dsmnc_serve_worker_slots", "Concurrent-task bound of this worker's local pool.",
 			func() float64 { return float64(w.cfg.Slots) }),
 		r.Gauge("dsmnc_serve_worker_busy", "Tasks currently running on the local pool.",
-			func() float64 {
-				w.mu.Lock()
-				defer w.mu.Unlock()
-				return float64(w.running)
-			}),
+			func() float64 { busy, _ := w.load(); return float64(busy) }),
 		r.Gauge("dsmnc_serve_worker_queued", "Admitted tasks waiting for a slot.",
-			func() float64 {
-				w.mu.Lock()
-				defer w.mu.Unlock()
-				return float64(w.live - w.running)
-			}),
+			func() float64 { _, queued := w.load(); return float64(queued) }),
 		r.Gauge("dsmnc_serve_worker_draining", "1 while the worker refuses fresh dispatches pending shutdown.",
 			func() float64 {
-				w.mu.Lock()
-				defer w.mu.Unlock()
-				if w.draining {
+				if s.Draining() {
 					return 1
 				}
 				return 0
 			}),
 		r.Counter("dsmnc_serve_worker_tasks_total", "Dispatches admitted as fresh tasks.",
-			func() float64 { return float64(w.admitted.Load()) }),
+			func() float64 { return float64(s.submitted.Load()) }),
 		r.Counter("dsmnc_serve_worker_joined_total", "Dispatches coalesced onto a task the worker already held.",
-			func() float64 { return float64(w.joined.Load()) }),
+			func() float64 { return float64(s.deduped.Load()) }),
 		r.Counter("dsmnc_serve_worker_shed_total", "Dispatches refused 429 at the slots+queue bound.",
 			func() float64 { return float64(w.shed.Load()) }),
 		r.Counter("dsmnc_serve_worker_stale_total", "Stale-epoch dispatches, polls and cancels refused.",
@@ -455,11 +278,11 @@ func (w *Worker) RegisterMetrics(r *telemetry.Registry) error {
 		r.Counter("dsmnc_serve_worker_mismatch_total", "Dispatches refused for an options-fingerprint mismatch.",
 			func() float64 { return float64(w.mismatch.Load()) }),
 		r.Counter("dsmnc_serve_worker_done_total", "Tasks that finished successfully.",
-			func() float64 { return float64(w.completed.Load()) }),
+			func() float64 { return float64(s.completed.Load()) }),
 		r.Counter("dsmnc_serve_worker_failed_total", "Tasks whose outcome was a permanent error.",
-			func() float64 { return float64(w.failed.Load()) }),
+			func() float64 { return float64(s.failed.Load()) }),
 		r.Counter("dsmnc_serve_worker_canceled_total", "Tasks canceled by the coordinator or a drain.",
-			func() float64 { return float64(w.canceled.Load()) }),
+			func() float64 { return float64(s.canceled.Load()) }),
 	}
 	for _, err := range regs {
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 )
 
 // mustWorker builds a worker whose runFn is the given synthetic engine.
-func mustWorker(t *testing.T, cfg WorkerConfig, run func(ctx context.Context, wt *workerTask) (dsmnc.Result, error)) *Worker {
+func mustWorker(t *testing.T, cfg WorkerConfig, run func(ctx context.Context, wt *job) (dsmnc.Result, error)) *Worker {
 	t.Helper()
 	cfg.runFn = run
 	w, err := NewWorker(cfg)
@@ -35,7 +36,7 @@ func mustWorker(t *testing.T, cfg WorkerConfig, run func(ctx context.Context, wt
 func dispatchFor(t *testing.T, w *Worker, n int, attempt int, epoch uint64) ([]byte, string) {
 	t.Helper()
 	r := req(n).normalized()
-	_, _, opt, err := r.compile(w.cfg.Options)
+	_, _, opt, err := r.compile(w.s.cfg.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func pollUntilTerminal(t *testing.T, w *Worker, id string, epoch uint64) WireRes
 }
 
 func TestWorkerLifecycle(t *testing.T) {
-	w := mustWorker(t, WorkerConfig{Slots: 2}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 2}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{System: wt.sys.Name, Bench: wt.bench.Name, Refs: 7}, nil
 	})
 	body, id := dispatchFor(t, w, 0, 1, 1)
@@ -97,17 +98,17 @@ func TestWorkerLifecycle(t *testing.T) {
 	if again, err := ParseWireResult(ans); err != nil || again.State != StateDone {
 		t.Fatalf("joined dispatch answered %+v / %v; want the done result", again, err)
 	}
-	if got := w.admitted.Load(); got != 1 {
+	if got := w.s.submitted.Load(); got != 1 {
 		t.Fatalf("admitted %d tasks; the duplicate must join, not re-run", got)
 	}
-	if got := w.joined.Load(); got != 1 {
+	if got := w.s.deduped.Load(); got != 1 {
 		t.Fatalf("joined = %d; want 1", got)
 	}
 }
 
 func TestWorkerShedsAtCapacity(t *testing.T) {
 	gate := make(chan struct{})
-	w := mustWorker(t, WorkerConfig{Slots: 1, QueueDepth: 1}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1, QueueDepth: 1}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-gate:
 			return dsmnc.Result{Refs: 1}, nil
@@ -159,7 +160,7 @@ func TestWorkerShedsAtCapacity(t *testing.T) {
 
 func TestWorkerEpochSemantics(t *testing.T) {
 	gate := make(chan struct{})
-	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-gate:
 			return dsmnc.Result{Refs: 1}, nil
@@ -209,11 +210,11 @@ func TestWorkerEpochSemantics(t *testing.T) {
 }
 
 func TestWorkerFingerprintMismatch(t *testing.T) {
-	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{}, nil
 	})
 	r := req(0).normalized()
-	_, _, opt, err := r.compile(w.cfg.Options)
+	_, _, opt, err := r.compile(w.s.cfg.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +230,15 @@ func TestWorkerFingerprintMismatch(t *testing.T) {
 	if !strings.Contains(string(ans), "fingerprint") {
 		t.Fatalf("412 body %q does not explain the mismatch", ans)
 	}
-	if w.mismatch.Load() != 1 || w.admitted.Load() != 0 {
-		t.Fatalf("mismatch=%d admitted=%d; the dispatch must be refused untried", w.mismatch.Load(), w.admitted.Load())
+	if w.mismatch.Load() != 1 || w.s.submitted.Load() != 0 {
+		t.Fatalf("mismatch=%d admitted=%d; the dispatch must be refused untried", w.mismatch.Load(), w.s.submitted.Load())
 	}
 }
 
 func TestWorkerCancelAndDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var started atomic.Int64
-	w := mustWorker(t, WorkerConfig{Slots: 2}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 2}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		started.Add(1)
 		<-ctx.Done()
 		return dsmnc.Result{}, ctx.Err()
@@ -277,7 +278,7 @@ func TestWorkerCancelAndDrain(t *testing.T) {
 }
 
 func TestWorkerEvictsTerminalTasks(t *testing.T) {
-	w := mustWorker(t, WorkerConfig{Slots: 1, KeepResults: 2}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1, KeepResults: 2}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{Refs: 1}, nil
 	})
 	var first string
@@ -298,7 +299,7 @@ func TestWorkerEvictsTerminalTasks(t *testing.T) {
 
 func TestWorkerReadyAndMetrics(t *testing.T) {
 	gate := make(chan struct{})
-	w := mustWorker(t, WorkerConfig{Slots: 2, QueueDepth: 2}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 2, QueueDepth: 2}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		select {
 		case <-gate:
 			return dsmnc.Result{Refs: 1}, nil
@@ -349,6 +350,14 @@ func TestWorkerReadyAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
+	// perfbench merges a coordinator's and a worker's scrapes into one
+	// map: a scheduler series exported here would overwrite the
+	// coordinator's value under the same name.
+	for _, line := range strings.Split(text, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "dsmnc_serve_worker_") {
+			t.Fatalf("worker metrics export a non-worker series: %q", line)
+		}
+	}
 	for _, want := range []string{
 		"dsmnc_serve_worker_slots 2",
 		"dsmnc_serve_worker_tasks_total 3",
@@ -363,7 +372,7 @@ func TestWorkerReadyAndMetrics(t *testing.T) {
 }
 
 func TestWorkerRejectsGarbageAndUncompilable(t *testing.T) {
-	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{}, nil
 	})
 	if code, ans := w.Dispatch([]byte("\x00\xff")); code != 400 {
@@ -382,13 +391,13 @@ func TestWorkerRejectsGarbageAndUncompilable(t *testing.T) {
 	if code != 400 && code != 412 {
 		t.Fatalf("uncompilable dispatch = %d: %s; want a refusal", code, ans)
 	}
-	if w.admitted.Load() != 0 {
+	if w.s.submitted.Load() != 0 {
 		t.Fatal("a refused dispatch must not admit a task")
 	}
 }
 
 func TestWorkerFailedTask(t *testing.T) {
-	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *workerTask) (dsmnc.Result, error) {
+	w := mustWorker(t, WorkerConfig{Slots: 1}, func(ctx context.Context, wt *job) (dsmnc.Result, error) {
 		return dsmnc.Result{}, fmt.Errorf("engine exploded on %s", wt.id)
 	})
 	body, id := dispatchFor(t, w, 0, 1, 1)
@@ -399,7 +408,58 @@ func TestWorkerFailedTask(t *testing.T) {
 	if res.State != StateFailed || !strings.Contains(res.Error, "engine exploded") {
 		t.Fatalf("failed task polls %+v; want the engine error", res)
 	}
-	if w.failed.Load() != 1 {
-		t.Fatalf("failed = %d; want 1", w.failed.Load())
+	if w.s.failed.Load() != 1 {
+		t.Fatalf("failed = %d; want 1", w.s.failed.Load())
+	}
+}
+
+// TestWorkerConcurrentJoins: racing dispatches of one task at one epoch
+// admit it once and join every other onto it — one engine run.
+func TestWorkerConcurrentJoins(t *testing.T) {
+	var runs atomic.Int64
+	w := mustWorker(t, WorkerConfig{Slots: 2}, func(ctx context.Context, j *job) (dsmnc.Result, error) {
+		runs.Add(1)
+		return dsmnc.Result{Refs: 1}, nil
+	})
+	body, id := dispatchFor(t, w, 0, 1, 1)
+	const n = 8
+	codes := make(chan int, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			code, _ := w.Dispatch(body)
+			codes <- code
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(codes)
+	count := map[int]int{}
+	for code := range codes {
+		count[code]++
+	}
+	if count[202] != 1 || count[200] != n-1 {
+		t.Fatalf("dispatch answers %v; want one 202 and %d 200s", count, n-1)
+	}
+	if res := pollUntilTerminal(t, w, id, 1); res.State != StateDone {
+		t.Fatalf("joined task settled %s", res.State)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("engine ran %d times; joins must share one run", got)
+	}
+	reg := telemetry.NewRegistry()
+	if err := w.RegisterMetrics(reg); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("dsmnc_serve_worker_joined_total %d", n-1); !strings.Contains(sb.String(), want) {
+		t.Fatalf("metrics text lacks %q:\n%s", want, sb.String())
 	}
 }
