@@ -1,10 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCHTIME ?= 1x
-BENCH_OUT ?= BENCH_baseline.json
-BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry bench bench-check cover ci
+.PHONY: build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover ci
 
 build:
 	$(GO) build ./...
@@ -93,11 +90,12 @@ fleet-smoke:
 # The chaos gate (docs/robustness.md §6): soak the lease fabric under
 # the race detector with seeded injection of every fault kind — crash,
 # stall, slow, drop-result, late-duplicate — plus the breaker-quarantine,
-# saturation-shed and golden-determinism drills, and the drain-vs-
-# recovery race. Zero lost acknowledged jobs, zero duplicate
-# completions, results field-identical to testdata/golden.
+# saturation-shed and golden-determinism drills, the drain-vs-recovery
+# race, and the drain contract for backoff waiters and a replayed
+# backlog. Zero lost acknowledged jobs, zero duplicate completions,
+# results field-identical to testdata/golden.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosTorture|TestDrainRacesRecovery' -count=1 ./serve
+	$(GO) test -race -run 'TestChaosTorture|TestDrainRacesRecovery|TestDrainCancelsBackoffWaiters|TestGracefulDrainRunsReplayedBacklog' -count=1 ./serve
 
 # The end-to-end benchmark (cmd/perfbench/README.md) is a module of its
 # own, so `test` never compiles it: vet and test it here.
@@ -110,25 +108,6 @@ perfbench:
 telemetry:
 	$(GO) test -race ./telemetry
 	$(GO) test -race -run 'TestProgress|TestTelemetryEndToEnd' .
-
-# Record a performance baseline: run the bench_test.go suite once and
-# commit the result as BENCH_baseline.json so later PRs can show deltas
-# (override BENCH_OUT to compare without clobbering the baseline).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) . > BENCH.txt
-	$(GO) run ./cmd/benchjson < BENCH.txt > $(BENCH_OUT)
-	@rm -f BENCH.txt
-	@echo "wrote $(BENCH_OUT)"
-
-# Compare a fresh benchmark run against the committed baseline and fail
-# if any benchmark's ns/op regressed more than BENCH_TOLERANCE (a
-# fraction; 0.10 = 10%). Run on a quiet machine — it is not part of
-# `make ci` because shared-runner noise would make it flap; it is the
-# gate for performance-sensitive PRs (docs/performance.md).
-bench-check:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) . > BENCH_current.txt
-	$(GO) run ./cmd/benchjson -check BENCH_baseline.json -tolerance $(BENCH_TOLERANCE) < BENCH_current.txt
-	@rm -f BENCH_current.txt
 
 # Coverage floors for the protocol-critical packages: the directory
 # implementations and the cluster engine. The floors ratchet up, never

@@ -89,7 +89,8 @@ func BenchmarkApplyHotPath(b *testing.B) {
 // BenchmarkApplyHotPathSampled measures the same stream with the
 // time-series sampler attached at the acceptance cadence
 // (-sample-every 100000), so sampling overhead shows up as a direct
-// delta against BenchmarkApplyHotPath in BENCH_baseline.json.
+// delta against BenchmarkApplyHotPath in the same
+// `go test -run '^$' -bench ApplyHotPath` run.
 func BenchmarkApplyHotPathSampled(b *testing.B) {
 	opt := benchOptions()
 	opt.Sampler = telemetry.NewSampler(100000, telemetry.DefaultCapacity)

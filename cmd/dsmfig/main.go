@@ -65,16 +65,8 @@ func run() int {
 	opt.Retries = *retries
 	opt.CheckpointEvery = *ckptEvery
 	opt.CheckpointDir = *ckptDir
-	switch *scale {
-	case "test":
-		opt.Scale = workload.ScaleTest
-	case "small":
-		opt.Scale = workload.ScaleSmall
-	case "medium":
-		opt.Scale = workload.ScaleMedium
-	case "large":
-		opt.Scale = workload.ScaleLarge
-	default:
+	var err error
+	if opt.Scale, err = workload.ParseScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "dsmfig: unknown scale %q\n", *scale)
 		return 2
 	}

@@ -18,8 +18,9 @@
 // durably journaled before the client sees its ID, and a restart
 // replays the ledger — finished jobs come back with their results,
 // unfinished jobs re-run under the same IDs (with their reassignment
-// counts intact). /readyz answers 503 ("recovering") until the replay
-// backlog is re-enqueued. The kill-torture suite (make crash-smoke)
+// counts intact). /readyz answers 503 ("recovering") while more
+// replayed jobs wait in the run queue than -queue plus -workers admit.
+// The kill-torture suite (make crash-smoke)
 // SIGKILLs this binary at every ledger crash point and verifies nothing
 // acknowledged is lost.
 //
@@ -454,7 +455,7 @@ func newHandler(s *serve.Scheduler, runner *explore.Runner, reg *telemetry.Regis
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness: whether fresh traffic should be routed here. 503
-		// while recovering (replay backlog still re-enqueueing),
+		// while recovering (replay backlog still past the queue bound),
 		// draining, or fully quarantined; 200 with reason "degraded"
 		// while serving on a partly-quarantined executor fleet. The
 		// body says which, plus per-executor health.

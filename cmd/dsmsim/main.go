@@ -65,16 +65,8 @@ func main() {
 	}
 
 	opt := dsmnc.DefaultOptions()
-	switch *scale {
-	case "test":
-		opt.Scale = workload.ScaleTest
-	case "small":
-		opt.Scale = workload.ScaleSmall
-	case "medium":
-		opt.Scale = workload.ScaleMedium
-	case "large":
-		opt.Scale = workload.ScaleLarge
-	default:
+	var err error
+	if opt.Scale, err = workload.ParseScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "dsmsim: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
@@ -171,7 +163,6 @@ func main() {
 
 	var res dsmnc.Result
 	if *traceFile != "" {
-		var err error
 		res, err = runTraceFile(*traceFile, sys, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsmsim: %v\n", err)
@@ -179,7 +170,6 @@ func main() {
 		}
 		fmt.Printf("trace     : %s\n", *traceFile)
 	} else {
-		var err error
 		res, err = dsmnc.Run(b, sys, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsmsim: %v\n", err)

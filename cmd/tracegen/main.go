@@ -44,24 +44,10 @@ func main() {
 	}
 }
 
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "test":
-		return workload.ScaleTest, nil
-	case "small":
-		return workload.ScaleSmall, nil
-	case "medium":
-		return workload.ScaleMedium, nil
-	case "large":
-		return workload.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
-}
-
 func doGenerate(bench, scale, out string, quantum int) error {
-	sc, err := parseScale(scale)
+	sc, err := workload.ParseScale(scale)
 	if err != nil {
-		return err
+		return fmt.Errorf("unknown scale %q", scale)
 	}
 	b := workload.ByName(bench, sc)
 	if b == nil {

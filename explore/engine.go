@@ -129,7 +129,7 @@ func (e *Engine) Run(ctx context.Context, sp Space) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	scale, _ := scaleByName(ns.Scale)
+	scale, _ := workload.ParseScale(ns.Scale)
 	bench := workload.ByName(ns.Bench, scale)
 	if bench == nil {
 		return nil, fmt.Errorf("%w: unknown bench %q", ErrBadSpace, ns.Bench)

@@ -138,9 +138,9 @@ func (s Space) Normalize() (Space, error) {
 	if s.Scale == "" {
 		s.Scale = "small"
 	}
-	scale, ok := scaleByName(s.Scale)
-	if !ok {
-		return Space{}, fmt.Errorf("%w: unknown scale %q (test|small|medium|large)", ErrBadSpace, s.Scale)
+	scale, err := workload.ParseScale(s.Scale)
+	if err != nil {
+		return Space{}, fmt.Errorf("%w: %v", ErrBadSpace, err)
 	}
 	if s.Bench == "" {
 		return Space{}, fmt.Errorf("%w: missing bench", ErrBadSpace)
@@ -175,7 +175,6 @@ func (s Space) Normalize() (Space, error) {
 	slices.SortFunc(s.Orgs, func(a, b string) int { return orgRank[a] - orgRank[b] })
 	s.Orgs = slices.Compact(s.Orgs)
 
-	var err error
 	if len(s.NCKB) == 0 {
 		s.NCKB = []int{16}
 	}
@@ -217,21 +216,6 @@ func (s Space) Normalize() (Space, error) {
 		return Space{}, fmt.Errorf("%w: the spec enumerates no points", ErrBadSpace)
 	}
 	return s, nil
-}
-
-// scaleByName maps a scale name to the workload scale.
-func scaleByName(s string) (workload.Scale, bool) {
-	switch s {
-	case "test":
-		return workload.ScaleTest, true
-	case "small":
-		return workload.ScaleSmall, true
-	case "medium":
-		return workload.ScaleMedium, true
-	case "large":
-		return workload.ScaleLarge, true
-	}
-	return 0, false
 }
 
 // countPoints sizes the enumeration without materializing it.

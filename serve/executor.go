@@ -318,9 +318,10 @@ type ExecutorHealth struct {
 // Readiness is the scheduler's readiness account, the substance behind
 // an HTTP /readyz: Ready says whether fresh traffic should be routed
 // here, Reason says why not (or how well) — "ok", "degraded" (serving,
-// but at least one executor is quarantined), "recovering" (ledger
-// replay still re-enqueueing), "draining", or "quarantined" (every
-// executor's circuit is open).
+// but at least one executor is quarantined), "recovering" (more
+// replayed ledger jobs still wait in the run queue than its admission
+// bound holds), "draining", or "quarantined" (every executor's circuit
+// is open).
 type Readiness struct {
 	Ready     bool             `json:"ready"`
 	Reason    string           `json:"reason"`
@@ -356,7 +357,7 @@ func (s *Scheduler) Readiness() Readiness {
 	switch {
 	case s.draining:
 		r.Reason = "draining"
-	case !s.recovered.Load():
+	case !s.recoveredLocked():
 		r.Reason = "recovering"
 	case healthy == 0:
 		r.Reason = "quarantined"

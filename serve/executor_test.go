@@ -3,8 +3,9 @@ package serve
 // The executor-fabric unit suite: lease loss and reassignment, the
 // bounded retry budget, deterministic backoff, the circuit breaker and
 // its readiness account, the watch-capacity guarantee across a
-// max-retry lifetime, a Drain racing ledger recovery under -race, and
-// the reassignment budget surviving a restart. The sustained-injection
+// max-retry lifetime, a Drain racing ledger recovery under -race, the
+// drain contract for backoff waiters and a replayed backlog, and the
+// reassignment budget surviving a restart. The sustained-injection
 // proof lives in chaos_test.go.
 
 import (
@@ -286,10 +287,10 @@ func TestWatchCapacityNotifyNeverDrops(t *testing.T) {
 	}
 }
 
-// TestDrainRacesRecovery: a Drain that lands while ledger replay is
-// still re-enqueueing a backlog (one gated worker behind a one-deep
-// queue, so the refill is provably mid-flight) must settle every
-// replayed job to a terminal state and leak nothing. Run under -race by
+// TestDrainRacesRecovery: a forced Drain that lands while a replayed
+// ledger backlog is still recovering (one gated worker behind a
+// one-deep queue, so most of the backlog provably still waits) must
+// settle every replayed job to a terminal state and leak nothing. Run under -race by
 // make race and make chaos-smoke.
 func TestDrainRacesRecovery(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -331,8 +332,8 @@ func TestDrainRacesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the refill wedge: one job running against the gate, one in
-	// the queue, sixty-two behind the blocked reenqueue send.
+	// Let the backlog wedge: one job running against the gate, the
+	// other sixty-three waiting in the run queue.
 	time.Sleep(20 * time.Millisecond)
 
 	dctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -348,6 +349,108 @@ func TestDrainRacesRecovery(t *testing.T) {
 		if !st.State.Terminal() {
 			t.Fatalf("replayed job %s left %s after Drain returned", id, st.State)
 		}
+	}
+	checkNoGoroutineLeak(t, before)
+}
+
+// TestDrainCancelsBackoffWaiters: a job waiting out a reassignment
+// backoff is not in the run queue, so nothing would ever run it after
+// a drain; a graceful Drain must settle it canceled at once instead of
+// waiting out the (hour-long) delay, and leave no timer or goroutine
+// behind. Run under -race by make chaos-smoke.
+func TestDrainCancelsBackoffWaiters(t *testing.T) {
+	before := runtime.NumGoroutine()
+	surrender := &funcExecutor{name: "surrender", fn: func(ctx context.Context, task *Task, l *Lease) (dsmnc.Result, error) {
+		return dsmnc.Result{}, fmt.Errorf("%w: surrendered", ErrLeaseLost)
+	}}
+	s, err := New(Config{
+		Workers: 1, LeaseTTL: -1, RetryBackoff: time.Hour, MaxRetries: 1, QuarantineAfter: -1,
+		Executors: []Executor{surrender},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, err := s.Status(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State == StateQueued && got.Attempt == 1 {
+			break // surrendered once, now waiting out the backoff
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never reached its backoff: %+v", got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("graceful Drain took %v with a job in backoff, want under 1s", took)
+	}
+	if got, err := s.Status(st.ID); err != nil || got.State != StateCanceled {
+		t.Fatalf("backoff waiter after Drain: %+v / %v, want canceled", got, err)
+	}
+	checkNoGoroutineLeak(t, before)
+}
+
+// TestGracefulDrainRunsReplayedBacklog: replayed ledger jobs are queued
+// work like any other, so a graceful drain runs every one of them —
+// including those beyond the Workers+QueueDepth admission bound — to
+// completion rather than canceling the overflow. Run under -race by
+// make chaos-smoke.
+func TestGracefulDrainRunsReplayedBacklog(t *testing.T) {
+	before := runtime.NumGoroutine()
+	path := ledgerPath(t)
+	oracle := mustScheduler(t, Config{Workers: 1, runFn: newFakeRunner(nil, 0).run})
+	l, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const backlog = 4
+	ids := make([]string, 0, backlog)
+	for n := 0; n < backlog; n++ {
+		id, fp := idFor(t, oracle, req(n))
+		if err := l.accepted(id, req(n).normalized(), fp, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	l.Close()
+	if err := oracle.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	fr := newFakeRunner(gate, 0)
+	s, err := New(Config{Workers: 1, QueueDepth: 1, Ledger: l2, runFn: fr.run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // one job holds the gate, three wait
+	close(gate)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if st, err := s.Status(id); err != nil || st.State != StateDone {
+			t.Fatalf("replayed job %s after a graceful drain: %+v / %v, want done", id, st, err)
+		}
+	}
+	if total, maxPer := fr.totalRuns(); total != backlog || maxPer != 1 {
+		t.Fatalf("drain ran %d jobs (max %d per job); want each of %d exactly once", total, maxPer, backlog)
 	}
 	checkNoGoroutineLeak(t, before)
 }

@@ -129,28 +129,13 @@ func (r Request) normalized() Request {
 	return r
 }
 
-// parseScale maps the request's scale name to the workload scale.
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "test":
-		return workload.ScaleTest, nil
-	case "small":
-		return workload.ScaleSmall, nil
-	case "medium":
-		return workload.ScaleMedium, nil
-	case "large":
-		return workload.ScaleLarge, nil
-	}
-	return 0, fmt.Errorf("%w: unknown scale %q (test|small|medium|large)", ErrBadRequest, s)
-}
-
 // validate checks a normalized request against the design space: known
 // names, in-range sizes, and no parameters that the named system would
 // silently ignore.
 func (r Request) validate() error {
-	scale, err := parseScale(r.Scale)
+	scale, err := workload.ParseScale(r.Scale)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if r.Bench == "" {
 		return fmt.Errorf("%w: missing bench", ErrBadRequest)
@@ -254,9 +239,9 @@ func (r Request) Fingerprint() string {
 // compile translates a validated request into the cell engine's inputs,
 // starting from the scheduler's base options (geometry, latencies).
 func (r Request) compile(base dsmnc.Options) (*workload.Bench, dsmnc.System, dsmnc.Options, error) {
-	scale, err := parseScale(r.Scale)
+	scale, err := workload.ParseScale(r.Scale)
 	if err != nil {
-		return nil, dsmnc.System{}, dsmnc.Options{}, err
+		return nil, dsmnc.System{}, dsmnc.Options{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	opt := base
 	opt.Scale = scale

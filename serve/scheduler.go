@@ -1,19 +1,24 @@
 package serve
 
-// The job scheduler: a bounded FIFO queue feeding a fixed worker pool.
-// Submissions are deduplicated by an idempotent job ID (the request
-// fingerprint crossed with the options fingerprint the sweep journal
-// uses), results are cached in a bounded map, full queues shed with
-// ErrBusy instead of growing, and Drain stops intake and settles every
-// job — forcibly cancelling what remains once its context expires — so
-// a SIGTERM'd server exits with zero leaked goroutines.
+// The job scheduler: a bounded FIFO run queue feeding a fixed worker
+// pool. The queue is a slice under the scheduler's one lock, with a
+// condition variable to wake idle pool goroutines, so submission,
+// ledger replay and reassignment all enqueue the same way: append under
+// mu and signal. Submissions are deduplicated by an idempotent job ID
+// (the request fingerprint crossed with the options fingerprint the
+// sweep journal uses), results are cached in a bounded map, full queues
+// shed with ErrBusy instead of growing, and Drain stops intake and
+// settles every job — forcibly cancelling what remains once its
+// context expires — so a SIGTERM'd server exits with zero leaked
+// goroutines.
 //
 // Execution sits behind the Executor interface (executor.go): each
 // dequeued job is dispatched to an executor fault domain under a
 // heartbeat-renewed lease. A lease that expires without renewal —
 // worker crash, stall, dropped result — is revoked by the monitor and
 // the job reassigned with a bounded retry budget, exponential backoff
-// and deterministic seeded jitter; an executor that loses K leases in a
+// and deterministic seeded jitter (a per-job timer re-appends the job
+// once its backoff ends); an executor that loses K leases in a
 // row is quarantined by the circuit breaker while the scheduler keeps
 // serving on the healthy remainder. Late or duplicate results from a
 // revoked attempt are discarded by an epoch guard, so a job completes
@@ -23,8 +28,9 @@ package serve
 // With a Ledger attached the scheduler is crash-safe: every transition
 // is journaled (acknowledged jobs durably, before the client sees the
 // ID), startup replays the ledger — terminal jobs repopulate the result
-// cache, non-terminal jobs re-enqueue under their existing idempotent
-// IDs with their reassignment counts intact — and a watchdog
+// cache, non-terminal jobs join the run queue under their existing
+// idempotent IDs, in arrival order and ahead of any new submission,
+// with their reassignment counts intact — and a watchdog
 // force-fails jobs that overrun their deadline by WatchdogFactor
 // without settling. The kill-torture suite (cmd/dsmserved, make
 // crash-smoke) SIGKILLs the real binary at every ledger crash point and
@@ -122,8 +128,9 @@ type Config struct {
 	Progress *dsmnc.Progress
 	// Ledger, when set, makes the scheduler crash-safe: accepted jobs
 	// are durably journaled before the submission is acknowledged, and
-	// New replays the ledger — restoring terminal results and
-	// re-enqueueing unfinished jobs under their existing IDs. Open one
+	// New replays the ledger — restoring terminal results and queueing
+	// unfinished jobs under their existing IDs ahead of any new
+	// submission. Open one
 	// with OpenLedger; the scheduler owns its lifecycle from here to
 	// Drain. The fsync per transition serializes under the scheduler's
 	// lock: a deliberate trade — jobs are whole simulations, and an
@@ -187,7 +194,7 @@ type Config struct {
 	QuarantineFor time.Duration
 
 	// runFn, when set, replaces the cell engine — the in-package test
-	// seam, needed at construction time because ledger recovery starts
+	// seam, needed at construction time because the pool starts
 	// running replayed jobs before New returns the scheduler.
 	runFn func(ctx context.Context, j *job) (dsmnc.Result, error)
 }
@@ -222,6 +229,9 @@ type job struct {
 	lastExec      string
 	exec          *execState
 	attemptCancel context.CancelFunc
+	// backoff is the pending retry timer of a reassigned job waiting
+	// out its delay (queued, but not yet back in the run queue).
+	backoff *time.Timer
 
 	// fleetEpoch is the newest fleet dispatch epoch a worker has seen
 	// for this job (worker.go); exchanges at older epochs are refused.
@@ -250,40 +260,28 @@ func (j *job) statusLocked() Status {
 	return st
 }
 
-// retryEntry is one reassigned job waiting out its backoff before
-// re-entering the queue.
-type retryEntry struct {
-	j  *job
-	at time.Time
-}
-
 // Scheduler runs submitted jobs on a bounded worker pool. Create one
 // with New; all methods are safe for concurrent use.
 type Scheduler struct {
-	cfg   Config
-	queue chan *job
+	cfg Config
 
-	mu           sync.Mutex
-	jobs         map[string]*job
-	doneOrder    []string // terminal job IDs, oldest first, for eviction
-	live         int      // queued + running jobs: the admission count
-	draining     bool
-	execs        []*execState // executor fault domains, fixed at New
-	execByName   map[string]*execState
-	ring         *ring        // consistent-hash routing; nil under round-robin
-	rrNext       int          // round-robin cursor over execs
-	retryPending []retryEntry // reassigned jobs waiting out backoff
-	retryRNG     *rand.Rand   // seeded jitter source, under mu
+	mu         sync.Mutex
+	jobs       map[string]*job
+	doneOrder  []string // terminal job IDs, oldest first, for eviction
+	live       int      // queued + running jobs: the admission count
+	draining   bool
+	runq       []*job       // jobs waiting for a pool goroutine, oldest first
+	wake       *sync.Cond   // on mu: signals a runq append or the drain
+	replayWait int          // replayed jobs still in runq, all at its head
+	execs      []*execState // executor fault domains, fixed at New
+	execByName map[string]*execState
+	ring       *ring      // consistent-hash routing; nil under round-robin
+	rrNext     int        // round-robin cursor over execs
+	retryRNG   *rand.Rand // seeded jitter source, under mu
 
 	wg sync.WaitGroup // worker pool
 
 	ledger        *Ledger
-	recovered     atomic.Bool   // startup recovery finished re-enqueueing
-	stopRecovery  chan struct{} // closed by Drain to abort re-enqueueing
-	recoveryDone  chan struct{} // closed when recovery has settled
-	stopRetry     chan struct{} // closed by Drain before the queue closes
-	retryDone     chan struct{} // closed when the retry pump has exited
-	retryWake     chan struct{} // nudges the pump after scheduleRetryLocked
 	stopMonitor   chan struct{} // closed by Drain after the workers exit
 	monitorDone   chan struct{} // closed when the monitor has exited
 	terminalSince int           // terminal records since the last compaction, under mu
@@ -315,9 +313,10 @@ type Scheduler struct {
 // New starts a scheduler: the worker pool is live and accepting
 // submissions until Drain. With cfg.Ledger set, New first replays the
 // ledger — terminal jobs repopulate the result cache and non-terminal
-// jobs re-enqueue under their recorded IDs (in the background, so a
-// backlog deeper than the queue drains through the workers; Recovered
-// reports when re-enqueueing has finished).
+// jobs join the run queue under their recorded IDs, in arrival order,
+// before the pool starts. A backlog deeper than Workers+QueueDepth
+// drains through the pool like any other queued work; Recovered reports
+// when what is left of it fits that bound.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
@@ -397,23 +396,16 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		cfg: cfg,
-		// Sized to the admission bound: jobs admitted before any pool
-		// goroutine has dequeued still fit.
-		queue:        make(chan *job, cfg.Workers+cfg.QueueDepth),
-		jobs:         map[string]*job{},
-		retryRNG:     rand.New(rand.NewSource(cfg.RetrySeed)),
-		ledger:       cfg.Ledger,
-		stopRecovery: make(chan struct{}),
-		recoveryDone: make(chan struct{}),
-		stopRetry:    make(chan struct{}),
-		retryDone:    make(chan struct{}),
-		retryWake:    make(chan struct{}, 1),
-		stopMonitor:  make(chan struct{}),
-		monitorDone:  make(chan struct{}),
-		runHist:      runHist,
-		waitHist:     waitHist,
+		cfg:         cfg,
+		jobs:        map[string]*job{},
+		retryRNG:    rand.New(rand.NewSource(cfg.RetrySeed)),
+		ledger:      cfg.Ledger,
+		stopMonitor: make(chan struct{}),
+		monitorDone: make(chan struct{}),
+		runHist:     runHist,
+		waitHist:    waitHist,
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.execByName = map[string]*execState{}
 	for _, e := range cfg.Executors {
 		if e == nil || e.Name() == "" {
@@ -442,21 +434,13 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.runFn != nil {
 		s.runFn = cfg.runFn
 	}
-	var replay []*job
 	if s.ledger != nil {
-		replay = s.recoverFromLedger()
+		s.recoverFromLedger()
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if len(replay) > 0 {
-		go s.reenqueue(replay)
-	} else {
-		s.recovered.Store(true)
-		close(s.recoveryDone)
-	}
-	go s.retryLoop()
 	if cfg.LeaseTTL > 0 || cfg.WatchdogFactor > 0 {
 		go s.monitor()
 	} else {
@@ -489,16 +473,16 @@ var closedChan = func() chan struct{} {
 
 // recoverFromLedger replays the folded ledger into the scheduler's maps
 // (called from New, before anything is shared): terminal jobs are
-// restored complete with results, non-terminal jobs are rebuilt for
-// re-enqueueing and returned in queued order. A recovered job whose
+// restored complete with results, non-terminal jobs are rebuilt and
+// appended to the run queue in arrival order. A recovered job whose
 // request no longer compiles to its recorded ID — the server's base
 // options changed between boots — is settled as failed rather than run
 // under a stale identity.
-func (s *Scheduler) recoverFromLedger() []*job {
+func (s *Scheduler) recoverFromLedger() {
 	recovered := s.ledger.jobs()
 	// Terminal jobs join the result cache in finished order, so the
 	// KeepResults eviction discipline picks up where the dead process
-	// left off; live jobs re-enqueue in their original arrival order.
+	// left off; live jobs queue in their original arrival order.
 	sort.SliceStable(recovered, func(i, k int) bool {
 		ti, tk := recovered[i], recovered[k]
 		if ti.state.Terminal() != tk.state.Terminal() {
@@ -509,7 +493,6 @@ func (s *Scheduler) recoverFromLedger() []*job {
 		}
 		return ti.queued.Before(tk.queued)
 	})
-	var replay []*job
 	for _, rj := range recovered {
 		if rj.state.Terminal() {
 			j := &job{
@@ -560,41 +543,29 @@ func (s *Scheduler) recoverFromLedger() []*job {
 			s.settleLocked(j)
 			continue
 		}
-		replay = append(replay, j)
+		s.runq = append(s.runq, j)
+		s.replayWait++
 		s.replayedJobs.Add(1)
 	}
 	s.evictLocked()
-	return replay
 }
 
-// reenqueue feeds recovered non-terminal jobs back into the queue.
-// Blocking sends, so a recovered backlog deeper than the queue drains
-// through the workers; a Drain aborts the refill and settles whatever
-// was not yet enqueued as canceled (its accepted record stays
-// non-terminal... a drain writes terminal records, so it does not:
-// cancellation is an outcome, recorded like any other).
-func (s *Scheduler) reenqueue(jobs []*job) {
-	defer close(s.recoveryDone)
-	for i, j := range jobs {
-		select {
-		case s.queue <- j:
-		case <-s.stopRecovery:
-			s.mu.Lock()
-			for _, k := range jobs[i:] {
-				s.cancelLocked(k) // never enqueued, so queued or already settled
-			}
-			s.mu.Unlock()
-			return
-		}
-	}
-	s.recovered.Store(true)
+// Recovered reports whether startup ledger recovery is over: the
+// replayed jobs still waiting in the run queue fit its admission bound,
+// Workers+QueueDepth, so the backlog no longer crowds out new
+// submissions. A scheduler without a ledger (or with a backlog that
+// fits) is recovered from birth. The HTTP binding keeps /readyz at 503
+// until this turns true.
+func (s *Scheduler) Recovered() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recoveredLocked()
 }
 
-// Recovered reports whether startup ledger recovery has finished
-// re-enqueueing; a scheduler without a ledger (or with nothing to
-// replay) is recovered from birth. The HTTP binding keeps /readyz at
-// 503 until this turns true.
-func (s *Scheduler) Recovered() bool { return s.recovered.Load() }
+// recoveredLocked is Recovered for callers holding mu.
+func (s *Scheduler) recoveredLocked() bool {
+	return s.replayWait <= s.cfg.Workers+s.cfg.QueueDepth
+}
 
 // RecoveryStats returns how many terminal jobs the ledger restored into
 // the result cache and how many non-terminal jobs it re-enqueued.
@@ -728,35 +699,25 @@ func (s *Scheduler) submitLocked(id string, req Request, bench *workload.Bench, 
 		s.shed.Add(1)
 		return nil, false, ErrBusy
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j = &job{
-		id: id, req: req, bench: bench, sys: sys, opt: opt,
-		state: StateQueued, queued: time.Now(), fleetEpoch: epoch,
-		ctx: ctx, cancel: cancel,
-		done: make(chan struct{}),
-	}
-	select {
-	case s.queue <- j:
-	default:
-		// Canceled jobs still waiting in the channel can fill it under
-		// the live bound; shed rather than block under mu.
-		cancel()
-		s.shed.Add(1)
-		return nil, false, ErrBusy
-	}
+	queued := time.Now()
 	if s.ledger != nil {
 		// Durability before acknowledgement: the accepted record is
 		// fsync'd before the client sees the job ID. On failure the job
-		// is never registered — the dequeuing worker sees a non-queued
-		// state and skips it — so there is no acknowledged-but-volatile
-		// job and no ghost in the maps.
-		if lerr := s.ledger.accepted(id, req, opt.Fingerprint(), j.queued); lerr != nil {
+		// is never created, so there is no acknowledged-but-volatile job
+		// and no ghost in the maps or the run queue.
+		if lerr := s.ledger.accepted(id, req, opt.Fingerprint(), queued); lerr != nil {
 			s.ledgerErrs.Add(1)
-			j.state = StateCanceled
-			cancel()
 			return nil, false, fmt.Errorf("serve: recording job %s in the ledger: %w", id, lerr)
 		}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	j = &job{
+		id: id, req: req, bench: bench, sys: sys, opt: opt,
+		state: StateQueued, queued: queued, fleetEpoch: epoch,
+		ctx: ctx, cancel: cancel,
+		done: make(chan struct{}),
+	}
+	s.enqueueLocked(j)
 	s.jobs[id] = j
 	s.live++
 	s.submitted.Add(1)
@@ -766,11 +727,33 @@ func (s *Scheduler) submitLocked(id string, req Request, bench *workload.Bench, 
 	return j, true, nil
 }
 
-// worker drains the queue until Drain closes it.
+// enqueueLocked appends a queued job to the run queue and wakes one
+// idle pool goroutine; callers hold mu.
+func (s *Scheduler) enqueueLocked(j *job) {
+	s.runq = append(s.runq, j)
+	s.wake.Signal()
+}
+
+// worker dispatches the run queue's head job, one at a time, until
+// Drain has begun and the queue is empty.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for len(s.runq) == 0 {
+			if s.draining {
+				return
+			}
+			s.wake.Wait()
+		}
+		j := s.runq[0]
+		s.runq[0] = nil
+		s.runq = s.runq[1:]
+		s.replayWait = max(s.replayWait-1, 0)
+		s.mu.Unlock()
 		s.dispatch(j)
+		s.mu.Lock()
 	}
 }
 
@@ -870,8 +853,8 @@ func (s *Scheduler) deliver(j *job, es *execState, epoch uint64, res dsmnc.Resul
 // attempt (unblocking an executor stuck in it), charge the executor's
 // circuit breaker, and either reassign the job with backoff, fail it
 // once the retry budget is spent, or — during a drain — settle it
-// canceled so nothing is requeued behind a closing pump. Callers hold
-// mu; the job is in StateRunning.
+// canceled, as a drain starts no new attempt of a job that lost its
+// lease. Callers hold mu; the job is in StateRunning.
 func (s *Scheduler) leaseLostLocked(j *job, es *execState, cause error) {
 	now := time.Now()
 	s.leaseLost.Add(1)
@@ -909,99 +892,28 @@ func (s *Scheduler) leaseLostLocked(j *job, es *execState, cause error) {
 			}
 		}
 		s.notifyLocked(j)
-		s.scheduleRetryLocked(j, now)
+		s.scheduleRetryLocked(j)
 	}
 }
 
-// scheduleRetryLocked hands a reassigned job to the retry pump after
-// its backoff: exponential in consecutive losses, deterministically
-// jittered by the seeded RNG. Callers hold mu.
-func (s *Scheduler) scheduleRetryLocked(j *job, now time.Time) {
+// scheduleRetryLocked re-appends a reassigned job to the run queue
+// after its backoff: exponential in consecutive losses,
+// deterministically jittered by the seeded RNG; zero appends at once.
+// Drain cancels the jobs still waiting. Callers hold mu.
+func (s *Scheduler) scheduleRetryLocked(j *job) {
 	delay := retryDelay(s.cfg.RetryBackoff, maxRetryBackoff, j.losses, s.retryRNG)
-	s.retryPending = append(s.retryPending, retryEntry{j: j, at: now.Add(delay)})
-	select {
-	case s.retryWake <- struct{}{}:
-	default:
+	if delay <= 0 {
+		s.enqueueLocked(j)
+		return
 	}
-}
-
-// retryLoop is the retry pump: the only goroutine that feeds reassigned
-// jobs back into the queue, so Drain can stop it (stopRetry, joined via
-// retryDone) before closing the channel it sends on. Jobs canceled
-// while waiting out their backoff are dropped; jobs still pending when
-// the pump stops settle canceled, mirroring the recovery refill.
-func (s *Scheduler) retryLoop() {
-	defer close(s.retryDone)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	for {
+	j.backoff = time.AfterFunc(delay, func() {
 		s.mu.Lock()
-		var due *job
-		var next time.Time
-		keep := s.retryPending[:0]
-		now := time.Now()
-		for _, e := range s.retryPending {
-			switch {
-			case e.j.state != StateQueued:
-				// Settled while waiting out the backoff; drop it.
-			case due == nil && !e.at.After(now):
-				due = e.j
-			default:
-				keep = append(keep, e)
-				if next.IsZero() || e.at.Before(next) {
-					next = e.at
-				}
-			}
+		defer s.mu.Unlock()
+		j.backoff = nil
+		if j.state == StateQueued && !s.draining {
+			s.enqueueLocked(j)
 		}
-		s.retryPending = keep
-		s.mu.Unlock()
-		if due != nil {
-			select {
-			case s.queue <- due:
-			case <-s.stopRetry:
-				s.settlePendingRetries(due)
-				return
-			}
-			continue
-		}
-		var wait <-chan time.Time
-		if !next.IsZero() {
-			timer.Reset(time.Until(next))
-			wait = timer.C
-		}
-		select {
-		case <-s.stopRetry:
-			s.settlePendingRetries(nil)
-			return
-		case <-s.retryWake:
-		case <-wait:
-		}
-		if wait != nil && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-}
-
-// settlePendingRetries cancels every reassigned job still waiting on
-// the stopped pump (plus the one that was mid-send, if any): with the
-// pump gone they would queue forever, and a drain's contract is that
-// every job settles.
-func (s *Scheduler) settlePendingRetries(extra *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if extra != nil {
-		s.cancelLocked(extra)
-	}
-	for _, e := range s.retryPending {
-		s.cancelLocked(e.j) // waiting out a backoff, so queued or already settled
-	}
-	s.retryPending = nil
+	})
 }
 
 // settleLocked finalizes a job that just reached a terminal state:
@@ -1017,6 +929,10 @@ func (s *Scheduler) settleLocked(j *job) {
 	}
 	s.live--
 	j.cancel() // release the context's resources
+	if j.backoff != nil {
+		j.backoff.Stop()
+		j.backoff = nil
+	}
 	s.notifyLocked(j)
 	for _, ch := range j.subs {
 		close(ch)
@@ -1221,28 +1137,25 @@ func (s *Scheduler) cancelLocked(j *job) {
 }
 
 // Drain shuts the scheduler down gracefully: intake stops (submissions
-// shed with ErrDraining), queued and running jobs are given until ctx
-// ends to finish, then the stragglers are canceled and awaited. When
-// Drain returns, every job is settled and every goroutine — workers,
-// retry pump, monitor — has exited; the error is ctx's if the deadline
-// forced cancellations.
+// shed with ErrDraining), jobs waiting out a reassignment backoff settle
+// canceled, queued and running jobs are given until ctx ends to finish,
+// then the stragglers are canceled and awaited. When Drain returns,
+// every job is settled and every goroutine — workers, monitor — has
+// exited; the error is ctx's if the deadline forced cancellations.
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	wasDraining := s.draining
 	if !wasDraining {
 		s.draining = true
-		close(s.stopRecovery)
+		for _, j := range s.jobs {
+			if j.backoff != nil {
+				s.cancelLocked(j) // settling stops the timer
+			}
+		}
+		// Idle pool goroutines wake to run what is queued, then exit.
+		s.wake.Broadcast()
 	}
 	s.mu.Unlock()
-	if !wasDraining {
-		// The recovery refill and the retry pump send on the queue; stop
-		// both (each settles its unqueued remainder canceled) before
-		// closing the channel they send on.
-		<-s.recoveryDone
-		close(s.stopRetry)
-		<-s.retryDone
-		close(s.queue)
-	}
 
 	settled := make(chan struct{})
 	go func() {

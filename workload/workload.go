@@ -52,6 +52,17 @@ func (s Scale) String() string {
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
+// ParseScale is the inverse of Scale.String: it maps a scale's name
+// back to the scale.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleTest; s <= ScaleLarge; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (test|small|medium|large)", name)
+}
+
 // Bench is one benchmark instance: a named generator bound to a problem
 // size.
 type Bench struct {

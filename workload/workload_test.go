@@ -182,6 +182,32 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
+// TestParseScale: ParseScale inverts Scale.String for every scale and
+// rejects any other name.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"test", ScaleTest, true},
+		{"small", ScaleSmall, true},
+		{"medium", ScaleMedium, true},
+		{"large", ScaleLarge, true},
+		{"huge", 0, false},
+		{"", 0, false},
+		{"Scale(4)", 0, false},
+	} {
+		got, err := ParseScale(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.name {
+			t.Errorf("ParseScale(%q).String() = %q, not a round trip", tc.name, got.String())
+		}
+	}
+}
+
 func TestScalesGrow(t *testing.T) {
 	for _, name := range Names() {
 		small := ByName(name, ScaleTest).SharedBytes
