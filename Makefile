@@ -9,9 +9,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The heavy acceptance tests (checked matrix, paper shapes) are
-# -short-gated: under the race detector they exceed go test's budget,
-# so the race pass runs the short suite and `test` covers the rest.
+# The heavy acceptance tests (the checked matrix, the figure claims, the
+# interrupted-sweep drill, the built-binary drills) skip under -short:
+# under the race detector they would exceed go test's per-package
+# budget, so the race pass runs the short suite and `test` covers the
+# rest.
 race:
 	$(GO) test -race -short ./...
 
@@ -19,13 +21,12 @@ vet:
 	$(GO) vet ./...
 
 # Fuzz the hardened decoders for a bounded burst each: the binary
-# trace reader, the snapshot loader, the job-request decoder, the
+# trace reader, the event-trace reader, the job-request decoder, the
 # job-ledger loader, the status/readiness wire documents, the fleet
 # wire protocol (task dispatch and result) and the design-space spec
 # decoder.
 fuzz:
 	$(GO) test -run '^FuzzReader$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./trace
-	$(GO) test -run '^FuzzSnapshot$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^FuzzEventTrace$$' -fuzz '^FuzzEventTrace$$' -fuzztime $(FUZZTIME) ./telemetry
 	$(GO) test -run '^FuzzJobRequest$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME) ./serve
 	$(GO) test -run '^FuzzLedger$$' -fuzz '^FuzzLedger$$' -fuzztime $(FUZZTIME) ./serve
@@ -39,11 +40,13 @@ fuzz:
 check:
 	$(GO) test -run TestCheckedMatrixHasNoViolations .
 
-# The checkpoint/resume acceptance drills: snapshot round trips across
-# the principal organizations, the interrupted fig9 sweep replayed from
-# its journal, and mid-cell checkpoint recovery.
+# The resume acceptance drills (docs/robustness.md §4): the interrupted
+# fig9 sweep replayed from its journal, the journal's damage and
+# mismatch handling, and the retry classification of failed cells. A
+# killed cell restarts from reference zero; the journal keeps every
+# finished one.
 resume-smoke:
-	$(GO) test -run 'TestSnapshotRoundTrip|TestInterruptedSweepResumes|TestCheckpointResumesMidCell' . ./internal/sim
+	$(GO) test -run 'TestInterruptedSweepResumes|TestJournal|TestRetries|TestPermanentFailureNotRetried|TestPanickedCellRetried' .
 
 # The serving acceptance drills (docs/serving.md): the scheduler soak
 # under the race detector (64 submitters vs a 4-worker pool, bounded

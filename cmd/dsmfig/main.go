@@ -34,20 +34,18 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		exp       = flag.String("exp", "", "experiment id: table1|table2|table3|fig3..fig11|all")
-		scale     = flag.String("scale", "small", "workload scale: test|small|medium|large")
-		format    = flag.String("format", "table", "output format: table|chart|csv")
-		width     = flag.Int("width", 48, "chart width in characters")
-		quiet     = flag.Bool("q", false, "suppress progress messages")
-		keep      = flag.Bool("keepgoing", false, "record failing cells and continue instead of aborting the sweep")
-		cellTO    = flag.Duration("timeout", 0, "per-cell time limit (e.g. 5m); 0 means none")
-		journal   = flag.String("journal", "", "append each finished sweep cell to this JSONL write-ahead journal")
-		resume    = flag.Bool("resume", false, "replay -journal and re-run only the cells it is missing")
-		retries   = flag.Int("retries", 0, "retry transiently-failed cells (timeouts, panics) up to N extra times")
-		ckptEvery = flag.Int64("checkpoint-every", 0, "snapshot in-flight cells every N applied references; 0 disables")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for mid-cell checkpoints (default: beside the journal)")
-		progress  = flag.Duration("progress", 0, "print a progress heartbeat at this interval (e.g. 10s); 0 disables")
-		metrics   = flag.String("metrics", "", "serve Prometheus metrics and pprof on this address (e.g. :9090, :0 for a free port)")
+		exp      = flag.String("exp", "", "experiment id: table1|table2|table3|fig3..fig11|all")
+		scale    = flag.String("scale", "small", "workload scale: test|small|medium|large")
+		format   = flag.String("format", "table", "output format: table|chart|csv")
+		width    = flag.Int("width", 48, "chart width in characters")
+		quiet    = flag.Bool("q", false, "suppress progress messages")
+		keep     = flag.Bool("keepgoing", false, "record failing cells and continue instead of aborting the sweep")
+		cellTO   = flag.Duration("timeout", 0, "per-cell time limit (e.g. 5m); 0 means none")
+		journal  = flag.String("journal", "", "append each finished sweep cell to this JSONL write-ahead journal")
+		resume   = flag.Bool("resume", false, "replay -journal and re-run only the cells it is missing")
+		retries  = flag.Int("retries", 0, "retry transiently-failed cells (timeouts, panics) up to N extra times")
+		progress = flag.Duration("progress", 0, "print a progress heartbeat at this interval (e.g. 10s); 0 disables")
+		metrics  = flag.String("metrics", "", "serve Prometheus metrics and pprof on this address (e.g. :9090, :0 for a free port)")
 	)
 	flag.Parse()
 	if *exp == "" {
@@ -63,8 +61,6 @@ func run() int {
 	opt.KeepGoing = *keep
 	opt.CellTimeout = *cellTO
 	opt.Retries = *retries
-	opt.CheckpointEvery = *ckptEvery
-	opt.CheckpointDir = *ckptDir
 	var err error
 	if opt.Scale, err = workload.ParseScale(*scale); err != nil {
 		fmt.Fprintf(os.Stderr, "dsmfig: unknown scale %q\n", *scale)

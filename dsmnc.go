@@ -251,13 +251,6 @@ type Options struct {
 	// RetryBackoff is the delay before the first retry, doubling on
 	// each subsequent one (bounded); zero means a 250ms default.
 	RetryBackoff time.Duration
-	// CheckpointEvery, when positive, snapshots each in-flight cell
-	// every N applied references so a killed run resumes mid-cell from
-	// its last checkpoint instead of from reference zero.
-	CheckpointEvery int64
-	// CheckpointDir is where mid-cell checkpoints live; empty means
-	// next to the journal, or the system temp directory.
-	CheckpointDir string
 	// Progress, when set, receives live counters (references applied,
 	// cells done, journal writes) that Progress.Heartbeat can report.
 	Progress *Progress
@@ -326,21 +319,6 @@ func Build(b *workload.Bench, s System, opt Options) (*sim.System, error) {
 // with no data-set size to take the fraction of — fail with an
 // ErrConfig-wrapped error.
 func BuildFor(sharedBytes int64, s System, opt Options) (*sim.System, error) {
-	cfg, err := configFor(sharedBytes, s, opt)
-	if err != nil {
-		return nil, err
-	}
-	machine, err := sim.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
-	}
-	return machine, nil
-}
-
-// configFor translates a system description into the simulator
-// configuration; BuildFor and RestoreFor share it so a restored machine
-// is constructed exactly like a fresh one.
-func configFor(sharedBytes int64, s System, opt Options) (sim.Config, error) {
 	cfg := sim.Config{
 		Geometry:          opt.Geometry,
 		L1:                cache.Config{Bytes: opt.L1Bytes, Ways: opt.L1Ways},
@@ -384,19 +362,19 @@ func configFor(sharedBytes int64, s System, opt Options) (sim.Config, error) {
 	case NCInfiniteDRAM:
 		cfg.NewNC = func() (core.NC, error) { return core.NewInfinite(stats.NCTechDRAM), nil }
 	default:
-		return sim.Config{}, fmt.Errorf("%w: unknown NC kind %d in system %q", ErrConfig, s.NC, s.Name)
+		return nil, fmt.Errorf("%w: unknown NC kind %d in system %q", ErrConfig, s.NC, s.Name)
 	}
 
 	pcBytes := s.PCBytes
 	if s.PCFraction < 0 {
-		return sim.Config{}, fmt.Errorf("%w: system %q has negative page-cache fraction %d",
+		return nil, fmt.Errorf("%w: system %q has negative page-cache fraction %d",
 			ErrConfig, s.Name, s.PCFraction)
 	}
 	if s.PCFraction > 0 {
 		if sharedBytes <= 0 {
 			// Without a data-set size, a fractional page cache would
 			// silently degenerate to a single frame and thrash.
-			return sim.Config{}, fmt.Errorf("%w: system %q sizes its page cache as 1/%d of the data set, but the shared-data size is %d",
+			return nil, fmt.Errorf("%w: system %q sizes its page cache as 1/%d of the data set, but the shared-data size is %d",
 				ErrConfig, s.Name, s.PCFraction, sharedBytes)
 		}
 		pcBytes = sharedBytes / int64(s.PCFraction)
@@ -418,7 +396,11 @@ func configFor(sharedBytes int64, s System, opt Options) (sim.Config, error) {
 			return pagecache.New(frames, pol)
 		}
 	}
-	return cfg, nil
+	machine, err := sim.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return machine, nil
 }
 
 // Run simulates workload b on system s and returns the event account.
@@ -429,9 +411,9 @@ func Run(b *workload.Bench, s System, opt Options) (Result, error) {
 // RunContext is Run with cancellation: the simulation stops with ctx's
 // error shortly after the context ends (cancellation is polled off the
 // hot loop). Sweeps use it to bound runaway cells. It honors the
-// checkpoint/resume and progress options the same way sweep cells do.
+// progress option the same way sweep cells do.
 func RunContext(ctx context.Context, b *workload.Bench, s System, opt Options) (Result, error) {
-	return runCell(ctx, "", runJob{bench: b, sys: s, opt: opt})
+	return runCell(ctx, runJob{bench: b, sys: s, opt: opt})
 }
 
 func finish(machine *sim.System, s System, bench string, refs int64, opt Options) Result {

@@ -1,18 +1,20 @@
 package dsmnc
 
-// The split half of the equivalence corpus: every committed golden cell
-// is cut into 2 and 4 shards of its reference stream, each shard run by
-// a fresh runCell — new Sampler, new Progress, machine restored from
-// the previous shard's checkpoint — the way a cell killed and restarted
-// between checkpoints runs. The last shard must reproduce the corpus
-// exactly: same reference count, field-identical counters, and
-// byte-identical sampler series (via the committed SHA-256 digests).
-// This drives runCell's one delivery path through every resume case it
-// has: a restored prefix dropped a chunk at a time, ApplyBatch runs cut
-// at checkpoint and cancellation boundaries, and per-run progress. The
-// event trace is not carried across a restore, so these replays attach
-// the sampler only and compare the trace-independent digest fields; the
-// full five-field digests stay pinned by TestDifferentialEquivalence.
+// The kill-and-restart half of the equivalence corpus: every committed
+// golden cell is run as a series of runCell lives sharing one
+// workload.Bench, the way a sweep retries a cell that was killed. With
+// 2 or 4 shards the stream is cut at the shard boundaries, and life k
+// is canceled once it has applied k shards; a killed cell restarts
+// from reference zero, so each life starts over with a new machine, a
+// new Sampler and a new Progress. The last life runs to the end and
+// must reproduce the corpus exactly: same reference count,
+// field-identical counters, and byte-identical sampler series (via the
+// committed SHA-256 digests). This drives runCell's cancellation cut at
+// every shard boundary and checks that a canceled life leaves nothing
+// behind — in the bench's generator or anywhere else — that the next
+// life can see. These replays attach the sampler only and compare the
+// trace-independent digest fields; the full five-field digests stay
+// pinned by TestDifferentialEquivalence.
 
 import (
 	"bytes"
@@ -29,13 +31,14 @@ import (
 )
 
 // goldenShardCounts is the split axis: how many shards each cell's
-// reference stream is cut into, one runCell life per shard.
+// reference stream is cut into; a cell cut into n shards is killed
+// n-1 times, once at each inner boundary.
 var goldenShardCounts = []int{2, 4}
 
 // cancelAtRefs is a context that reports cancellation once p has
 // counted cut applied references. runCell polls Err every 1024 applied
 // references, so with cut a multiple of 1024 a life stops exactly at
-// its cut, right after the checkpoint that lands there.
+// its cut.
 type cancelAtRefs struct {
 	context.Context
 	p   *Progress
@@ -50,17 +53,15 @@ func (c *cancelAtRefs) Err() error {
 }
 
 // runSplitCell replays one corpus cell of refs references as shards
-// consecutive runCell lives sharing a checkpoint directory, and returns
-// the last life's outcome.
+// consecutive runCell lives on one bench, killing life k after k
+// shards, and returns the last life's outcome.
 func runSplitCell(t *testing.T, sys System, benchName string, shards int, refs int64) diffOutcome {
 	t.Helper()
 	opt := DefaultOptions()
 	opt.Scale = workload.ScaleSmall
-	opt.CheckpointDir = t.TempDir()
-	// Each shard is a whole number of cancellation polls, so every cut
-	// is a checkpoint and a poll at once.
+	// Each shard is a whole number of cancellation polls, so every
+	// boundary is a poll.
 	per := (refs/int64(shards) + 1023) / 1024 * 1024
-	opt.CheckpointEvery = per
 	bench := workload.ByName(benchName, opt.Scale)
 	if bench == nil {
 		t.Fatalf("unknown workload %q", benchName)
@@ -69,31 +70,28 @@ func runSplitCell(t *testing.T, sys System, benchName string, shards int, refs i
 		opt.Sampler = telemetry.NewSampler(diffSampleEvery, telemetry.DefaultCapacity)
 		prog := &Progress{}
 		opt.Progress = prog
-		ctx := &cancelAtRefs{Context: context.Background(), p: prog, cut: per}
-		res, err := runCell(ctx, "golden-split", runJob{bench: bench, sys: sys, opt: opt})
+		ctx := context.Background()
+		if life < shards {
+			ctx = &cancelAtRefs{Context: ctx, p: prog, cut: int64(life) * per}
+		}
+		res, err := runCell(ctx, runJob{bench: bench, sys: sys, opt: opt})
 		applied := prog.Refs.Load()
 		if life < shards {
 			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("shard %d of %d: error = %v, want context.Canceled", life, shards, err)
+				t.Fatalf("life %d of %d: error = %v, want context.Canceled", life, shards, err)
 			}
-			if applied != per {
-				t.Fatalf("shard %d of %d applied %d refs, want %d", life, shards, applied, per)
-			}
-			if n := len(checkpointFiles(t, opt.CheckpointDir)); n != 1 {
-				t.Fatalf("checkpoint files after shard %d = %d, want 1", life, n)
+			if want := int64(life) * per; applied != want {
+				t.Fatalf("life %d of %d applied %d refs, want %d", life, shards, applied, want)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("last shard: %v", err)
+			t.Fatalf("last life: %v", err)
 		}
-		// The last life resumes where the one before it stopped: no
-		// reference is lost or applied twice across the cuts.
-		if want := refs - int64(shards-1)*per; applied != want {
-			t.Fatalf("last shard applied %d refs, want %d", applied, want)
-		}
-		if n := len(checkpointFiles(t, opt.CheckpointDir)); n != 0 {
-			t.Fatalf("checkpoint files after the last shard = %d, want 0", n)
+		// The last life starts from reference zero: it applies the
+		// whole stream, none of it skipped or applied twice.
+		if applied != refs {
+			t.Fatalf("last life applied %d refs, want %d", applied, refs)
 		}
 		var series bytes.Buffer
 		if err := opt.Sampler.WriteJSONL(&series); err != nil {
@@ -108,11 +106,11 @@ func runSplitCell(t *testing.T, sys System, benchName string, shards int, refs i
 	}
 }
 
-// TestGoldenStatsSharded replays the full golden corpus split at every
-// shard count and diffs field-level counters against testdata/golden
-// plus SHA-256 digests against testdata/difftest. It never regenerates
-// anything: a resumed cell must match the corpus an uninterrupted run
-// committed.
+// TestGoldenStatsSharded replays the full golden corpus killed and
+// restarted at every shard count and diffs field-level counters
+// against testdata/golden plus SHA-256 digests against
+// testdata/difftest. It never regenerates anything: a restarted cell
+// must match the corpus an uninterrupted run committed.
 func TestGoldenStatsSharded(t *testing.T) {
 	for _, shards := range goldenShardCounts {
 		for _, sys := range diffSystems() {

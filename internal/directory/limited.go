@@ -40,9 +40,9 @@ type LimitedDirectory struct {
 type lentry struct {
 	// ptrMask holds the hardware sharer pointers as a cluster bitset
 	// (popcount bounded by the directory's pointer limit). A bitset
-	// loses the pointers' arrival order, so invalidations and snapshot
-	// bytes enumerate sharers in ascending cluster order — the same
-	// order the full-map directory uses.
+	// loses the pointers' arrival order, so invalidations enumerate
+	// sharers in ascending cluster order — the same order the full-map
+	// directory uses.
 	ptrMask uint64
 	bcast   bool // pointers overflowed: invalidations broadcast
 	dirty   int8

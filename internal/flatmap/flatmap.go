@@ -150,8 +150,7 @@ func (m *Map[V]) remove(i, mask uint64) {
 	m.vals[i] = zero
 }
 
-// Keys returns the live keys in ascending order (snapshot
-// serialization: identical contents must yield identical bytes).
+// Keys returns the live keys in ascending order.
 func (m *Map[V]) Keys() []uint64 {
 	out := make([]uint64, 0, m.live)
 	for _, kk := range m.keys {
@@ -210,16 +209,6 @@ func (c *Counter) Get(k uint64) uint32 {
 // the post-increment value.
 func (c *Counter) Incr(k uint64) uint32 {
 	return c.add(k, 1)
-}
-
-// Set stores v under k. Setting zero deletes the key.
-func (c *Counter) Set(k uint64, v uint32) {
-	if v == 0 {
-		c.Del(k)
-		return
-	}
-	p, _ := c.slot(k)
-	*p = v
 }
 
 func (c *Counter) add(k uint64, d uint32) uint32 {
@@ -337,18 +326,6 @@ func (c *Counter) remove(i, mask uint64) {
 	}
 	c.keys[i] = 0
 	c.vals[i] = 0
-}
-
-// Keys returns the live keys in ascending order.
-func (c *Counter) Keys() []uint64 {
-	out := make([]uint64, 0, c.live)
-	for _, kk := range c.keys {
-		if kk != 0 {
-			out = append(out, kk-1)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Range calls fn for every live counter in unspecified order; fn

@@ -1,10 +1,9 @@
 // Package fsdir holds the directory-durability discipline shared by the
-// crash-safe on-disk structures (the sweep journal, mid-cell
-// checkpoints, the serve job ledger): creating or renaming a file is
-// only durable once the parent directory's entry for it is synced too.
-// Without it, a machine crash after fsync(file) can still lose the file
-// itself — the data blocks are on disk but the name pointing at them is
-// not.
+// crash-safe on-disk structures (the sweep journal, the serve job
+// ledger): creating or renaming a file is only durable once the parent
+// directory's entry for it is synced too. Without it, a machine crash
+// after fsync(file) can still lose the file itself — the data blocks
+// are on disk but the name pointing at them is not.
 package fsdir
 
 import "os"

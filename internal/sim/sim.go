@@ -74,9 +74,8 @@ type Config struct {
 	Check bool
 
 	// Sampler, when non-nil, records a machine-wide time-series sample
-	// every Sampler.Every() applied references (and participates in
-	// snapshots, so a resumed cell continues its series). The
-	// simulation itself is bit-identical with and without it.
+	// every Sampler.Every() applied references. The simulation itself
+	// is bit-identical with and without it.
 	Sampler *telemetry.Sampler
 	// Tracer, when non-nil, receives a structured coherence event for
 	// every fill, victimization, invalidation, relocation and
@@ -380,8 +379,7 @@ func (s *System) FlushSample() {
 }
 
 // RefsApplied returns how many references have been successfully
-// applied — the machine's position in its trace, which checkpoint
-// resume uses to skip the already-consumed prefix.
+// applied — the machine's position in its trace.
 func (s *System) RefsApplied() int64 { return s.applied }
 
 // Run drains src through the machine, returning the reference count and

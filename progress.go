@@ -16,8 +16,8 @@ import (
 // value is ready to use.
 type Progress struct {
 	// Refs counts references applied across all in-flight cells
-	// (skipped checkpoint prefixes and journal-restored cells do not
-	// count — only simulation actually performed).
+	// (journal-restored cells do not count — only simulation actually
+	// performed).
 	Refs atomic.Int64
 	// CellsDone and CellsTotal track sweep completion; journal-restored
 	// cells count as done the moment they are skipped.

@@ -1,9 +1,8 @@
 package dsmnc
 
-// The checkpoint/resume acceptance suite (docs/robustness.md §4):
-// facade-level snapshot round-trips across the paper's principal
-// organizations, the interrupted-sweep journal drill, retry
-// classification, and mid-cell checkpointing.
+// The resume acceptance suite (docs/robustness.md §4): the
+// interrupted-sweep journal drill, journal damage handling, and retry
+// classification.
 
 import (
 	"bytes"
@@ -17,82 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"dsmnc/trace"
 	"dsmnc/workload"
 )
-
-// resumeSystems are the organizations the tentpole contract names.
-func resumeSystems() []System {
-	return []System{
-		Base(), NC(16 << 10), VB(16 << 10), VP(16 << 10), VXPFrac(16<<10, 5, 32),
-	}
-}
-
-// TestSnapshotRoundTripSystems proves the facade-level resume contract:
-// run k references, Snapshot, RestoreFor, run the rest via trace.Skip —
-// bit-identical counters versus the uninterrupted run, with the
-// coherence checker attached throughout.
-func TestSnapshotRoundTripSystems(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10 checked round trips exceed the race-pass budget")
-	}
-	opt := testOptions()
-	opt.Check = true
-	for _, bname := range []string{"FFT", "Radix"} {
-		b := workload.ByName(bname, opt.Scale)
-		var refs []trace.Ref
-		b.Emit(opt.Geometry, opt.Quantum, func(r trace.Ref) { refs = append(refs, r) })
-		for _, sys := range resumeSystems() {
-			t.Run(bname+"/"+sys.Name, func(t *testing.T) {
-				full, err := BuildFor(b.SharedBytes, sys, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := full.Run(trace.NewSliceSource(refs)); err != nil {
-					t.Fatalf("uninterrupted run: %v", err)
-				}
-
-				k := int64(len(refs) / 3)
-				part, err := BuildFor(b.SharedBytes, sys, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := part.Run(trace.Limit(trace.NewSliceSource(refs), k)); err != nil {
-					t.Fatalf("prefix run: %v", err)
-				}
-				var buf bytes.Buffer
-				if err := part.Snapshot(&buf); err != nil {
-					t.Fatalf("snapshot: %v", err)
-				}
-				resumed, err := RestoreFor(&buf, b.SharedBytes, sys, opt)
-				if err != nil {
-					t.Fatalf("restore: %v", err)
-				}
-				if got := resumed.RefsApplied(); got != k {
-					t.Fatalf("RefsApplied = %d, want %d", got, k)
-				}
-				if _, err := resumed.Run(trace.Skip(trace.NewSliceSource(refs), k)); err != nil {
-					t.Fatalf("resumed run: %v", err)
-				}
-				if resumed.Totals() != full.Totals() {
-					t.Fatalf("counters diverge:\nresumed %+v\nfull    %+v",
-						resumed.Totals(), full.Totals())
-				}
-			})
-		}
-	}
-}
-
-// TestRestoreForRejectsGarbage: the facade surfaces the snapshot
-// sentinel, never a panic, for byte-level damage.
-func TestRestoreForRejectsGarbage(t *testing.T) {
-	opt := testOptions()
-	b := workload.ByName("FFT", opt.Scale)
-	if _, err := RestoreFor(bytes.NewReader([]byte("not a snapshot")),
-		b.SharedBytes, Base(), opt); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("err = %v, want ErrBadSnapshot", err)
-	}
-}
 
 // TestInterruptedSweepResumes is the end-to-end crash/recovery drill:
 // a journaled fig9 sweep is killed after 7 cells via the injected
@@ -399,134 +324,6 @@ func TestPanickedCellRetried(t *testing.T) {
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("cell attempts = %d, want 2", n)
-	}
-}
-
-// cancelAfterPolls is a context that reports cancellation once its Err
-// method has been consulted more than `budget` times — a deterministic
-// mid-run kill for the checkpoint tests (runCell polls Err every 1024
-// applied references).
-type cancelAfterPolls struct {
-	context.Context
-	budget atomic.Int64
-}
-
-func (c *cancelAfterPolls) Err() error {
-	if c.budget.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// interruptCell runs one checkpointing cell and kills it after ~1024
-// references, leaving a checkpoint file behind.
-func interruptCell(t *testing.T, j runJob) {
-	t.Helper()
-	ctx := &cancelAfterPolls{Context: context.Background()}
-	ctx.budget.Store(1)
-	if _, err := runCell(ctx, "ckpt-test", j); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted cell error = %v, want context.Canceled", err)
-	}
-}
-
-// checkpointFiles lists the checkpoint directory.
-func checkpointFiles(t *testing.T, dir string) []os.DirEntry {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ents
-}
-
-// TestCheckpointResumesMidCell: kill a checkpointing cell mid-run, run
-// it again — it must resume from the checkpoint (not reference zero),
-// produce a bit-identical Result, and clean up its checkpoint file.
-func TestCheckpointResumesMidCell(t *testing.T) {
-	opt := testOptions()
-	b := workload.FFT(opt.Scale)
-	sys := VB(16 << 10)
-	want, err := Run(b, sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	opt2 := opt
-	opt2.CheckpointEvery = 256
-	opt2.CheckpointDir = dir
-	j := runJob{bench: b, sys: sys, opt: opt2}
-	interruptCell(t, j)
-	if n := len(checkpointFiles(t, dir)); n != 1 {
-		t.Fatalf("checkpoint files after kill = %d, want 1", n)
-	}
-
-	prog := &Progress{}
-	opt2.Progress = prog
-	j.opt = opt2
-	got, err := runCell(context.Background(), "ckpt-test", j)
-	if err != nil {
-		t.Fatalf("resumed cell: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed result differs from uninterrupted run:\ngot  %+v\nwant %+v", got, want)
-	}
-	applied := prog.Refs.Load()
-	if applied <= 0 || applied >= want.Refs {
-		t.Fatalf("resume applied %d of %d refs; it should skip the checkpointed prefix", applied, want.Refs)
-	}
-	// Checkpoints land on exact multiples of CheckpointEvery, and
-	// progress counts exactly the references applied after the restore.
-	if skipped := want.Refs - applied; skipped%opt2.CheckpointEvery != 0 {
-		t.Fatalf("resumed from ref %d, not a multiple of CheckpointEvery %d", skipped, opt2.CheckpointEvery)
-	}
-	if n := len(checkpointFiles(t, dir)); n != 0 {
-		t.Fatalf("checkpoint files after completion = %d, want 0", n)
-	}
-}
-
-// TestCorruptCheckpointRestartsCell: a damaged checkpoint is discarded
-// silently and the cell restarts from reference zero, still landing on
-// the uninterrupted result.
-func TestCorruptCheckpointRestartsCell(t *testing.T) {
-	opt := testOptions()
-	b := workload.FFT(opt.Scale)
-	sys := VB(16 << 10)
-	want, err := Run(b, sys, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	opt2 := opt
-	opt2.CheckpointEvery = 256
-	opt2.CheckpointDir = dir
-	j := runJob{bench: b, sys: sys, opt: opt2}
-	interruptCell(t, j)
-	ents := checkpointFiles(t, dir)
-	if len(ents) != 1 {
-		t.Fatalf("checkpoint files after kill = %d, want 1", len(ents))
-	}
-	ckpt := filepath.Join(dir, ents[0].Name())
-	if err := os.WriteFile(ckpt, []byte("damaged beyond recognition"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	prog := &Progress{}
-	opt2.Progress = prog
-	j.opt = opt2
-	got, err := runCell(context.Background(), "ckpt-test", j)
-	if err != nil {
-		t.Fatalf("restarted cell: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restarted result differs from uninterrupted run")
-	}
-	if applied := prog.Refs.Load(); applied != want.Refs {
-		t.Fatalf("restart applied %d refs, want the full %d", applied, want.Refs)
-	}
-	if n := len(checkpointFiles(t, dir)); n != 0 {
-		t.Fatalf("checkpoint files after completion = %d, want 0", n)
 	}
 }
 

@@ -22,7 +22,12 @@ import (
 // TestCheckedMatrixHasNoViolations runs every workload under the checked
 // simulator for each of the paper's principal organizations: one
 // invariant violation anywhere fails with the full protocol state dump.
+// `make check` and `make test` run it; under the race detector it would
+// take most of go test's per-package budget, so -short skips it.
 func TestCheckedMatrixHasNoViolations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("checks every workload x organization; run without -short")
+	}
 	opt := testOptions()
 	opt.Check = true
 	systems := []System{

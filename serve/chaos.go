@@ -96,9 +96,9 @@ type ChaosExecutor struct {
 	injected [chaosKinds]int64
 }
 
-// NewChaosExecutor wraps inner with the fault injector. Dev/test only:
-// it exists so the chaos suite (and dsmserved's -chaos flag) can prove
-// the lease fabric against every failure mode on demand.
+// NewChaosExecutor wraps inner with the fault injector. Test only: it
+// exists so the chaos suite (serve/chaos_test.go) can prove the lease
+// fabric against every failure mode on demand.
 func NewChaosExecutor(inner Executor, cfg ChaosConfig) *ChaosExecutor {
 	if cfg.Rate == 0 {
 		cfg.Rate = 0.5

@@ -39,8 +39,7 @@ type Sample struct {
 
 	// WallNanos and RefsPerSec are wall-clock annotations, present only
 	// when the sampler was given a clock; they stay zero otherwise so
-	// that clockless series are fully deterministic (and snapshot
-	// round-trips bit-identically).
+	// that clockless series are fully deterministic.
 	WallNanos  int64   `json:"wall_ns,omitempty"`
 	RefsPerSec float64 `json:"refs_per_sec,omitempty"`
 

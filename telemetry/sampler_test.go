@@ -4,14 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"dsmnc/internal/snapshot"
 )
 
 // mkSample builds a raw cumulative sample at the given reference count.
@@ -139,59 +136,6 @@ func TestSamplerJSONLAndCSV(t *testing.T) {
 		if got := len(strings.Split(ln, ",")); got != cols {
 			t.Fatalf("CSV line %d has %d columns, header has %d", i, got, cols)
 		}
-	}
-}
-
-func TestSamplerSnapshotRoundTrip(t *testing.T) {
-	s := NewSampler(25, 4)
-	for i := int64(1); i <= 6; i++ { // overflows the ring: dropped > 0
-		s.Record(mkSample(25 * i))
-	}
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
-	s.SaveState(w)
-	if err := w.Close(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-
-	restored := NewSampler(25, 4)
-	r := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
-	restored.LoadState(r)
-	if err := r.Finish(); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if !reflect.DeepEqual(restored.Samples(), s.Samples()) {
-		t.Fatalf("series diverges after round trip")
-	}
-	if restored.Recorded() != s.Recorded() || restored.Dropped() != s.Dropped() {
-		t.Fatalf("counters diverge: recorded %d/%d dropped %d/%d",
-			restored.Recorded(), s.Recorded(), restored.Dropped(), s.Dropped())
-	}
-	// The restored sampler must keep deriving intervals from the same
-	// basis: record the same next sample on both and compare.
-	s.Record(mkSample(175))
-	restored.Record(mkSample(175))
-	a, _ := s.Latest()
-	b, _ := restored.Latest()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("post-restore sample diverges:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestSamplerLoadRejectsIntervalMismatch(t *testing.T) {
-	s := NewSampler(25, 4)
-	s.Record(mkSample(25))
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
-	s.SaveState(w)
-	if err := w.Close(); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	other := NewSampler(50, 4)
-	r := snapshot.NewReader(bytes.NewReader(buf.Bytes()))
-	other.LoadState(r)
-	if err := r.Finish(); !errors.Is(err, snapshot.ErrBadSnapshot) {
-		t.Fatalf("interval mismatch: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -73,108 +73,11 @@ func (s *SliceSource) Next() (Ref, bool) {
 // Remaining returns how many references are left.
 func (s *SliceSource) Remaining() int { return len(s.refs) - s.pos }
 
-// Pos returns the number of references consumed so far — the source's
-// resumable position.
-func (s *SliceSource) Pos() int64 { return int64(s.pos) }
-
-// SetPos positions the source so the next Next returns reference n.
-// Out-of-range positions clamp to the stream bounds.
-func (s *SliceSource) SetPos(n int64) {
-	switch {
-	case n < 0:
-		s.pos = 0
-	case n > int64(len(s.refs)):
-		s.pos = len(s.refs)
-	default:
-		s.pos = int(n)
-	}
-}
-
-// Skip returns a source that discards the first n references of src and
-// then yields the rest: the resume primitive for a run restored from a
-// checkpoint taken n references in. SliceSource positions are adjusted
-// in O(1); other sources are drained reference by reference on the
-// first Next. A source exposing Err() error keeps exposing it.
-func Skip(src Source, n int64) Source {
-	return &skipSource{src: src, n: n}
-}
-
-type skipSource struct {
-	src Source
-	n   int64
-}
-
-// Next discards the pending prefix (once), then forwards to the source.
-func (s *skipSource) Next() (Ref, bool) {
-	if s.n > 0 {
-		if ss, ok := s.src.(*SliceSource); ok {
-			ss.SetPos(ss.Pos() + s.n)
-			s.n = 0
-		}
-		for s.n > 0 {
-			s.n--
-			if _, ok := s.src.Next(); !ok {
-				s.n = 0
-				return Ref{}, false
-			}
-		}
-	}
-	return s.src.Next()
-}
-
-// Err surfaces the underlying source's decode error, if it has one.
-func (s *skipSource) Err() error {
-	if fe, ok := s.src.(interface{ Err() error }); ok {
-		return fe.Err()
-	}
-	return nil
-}
-
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() (Ref, bool)
 
 // Next calls the wrapped function.
 func (f FuncSource) Next() (Ref, bool) { return f() }
-
-// Concat chains sources back to back.
-func Concat(srcs ...Source) Source {
-	i := 0
-	return FuncSource(func() (Ref, bool) {
-		for i < len(srcs) {
-			if r, ok := srcs[i].Next(); ok {
-				return r, true
-			}
-			i++
-		}
-		return Ref{}, false
-	})
-}
-
-// Limit truncates src after n references.
-func Limit(src Source, n int64) Source {
-	return FuncSource(func() (Ref, bool) {
-		if n <= 0 {
-			return Ref{}, false
-		}
-		n--
-		return src.Next()
-	})
-}
-
-// Filter yields only references for which keep returns true.
-func Filter(src Source, keep func(Ref) bool) Source {
-	return FuncSource(func() (Ref, bool) {
-		for {
-			r, ok := src.Next()
-			if !ok {
-				return Ref{}, false
-			}
-			if keep(r) {
-				return r, true
-			}
-		}
-	})
-}
 
 // Counting wraps a source and counts what flows through it.
 type Counting struct {
@@ -211,17 +114,4 @@ func Drain(src Source, fn func(Ref)) int64 {
 		fn(r)
 		n++
 	}
-}
-
-// Collect materializes up to max references from src (max <= 0 means all).
-func Collect(src Source, max int64) []Ref {
-	var out []Ref
-	for max <= 0 || int64(len(out)) < max {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	return out
 }

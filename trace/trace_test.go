@@ -24,6 +24,59 @@ func mkRefs(pid int32, addrs ...uint64) []Ref {
 	return out
 }
 
+// Concat chains sources back to back.
+func Concat(srcs ...Source) Source {
+	i := 0
+	return FuncSource(func() (Ref, bool) {
+		for i < len(srcs) {
+			if r, ok := srcs[i].Next(); ok {
+				return r, true
+			}
+			i++
+		}
+		return Ref{}, false
+	})
+}
+
+// Limit truncates src after n references.
+func Limit(src Source, n int64) Source {
+	return FuncSource(func() (Ref, bool) {
+		if n <= 0 {
+			return Ref{}, false
+		}
+		n--
+		return src.Next()
+	})
+}
+
+// Filter yields only references for which keep returns true.
+func Filter(src Source, keep func(Ref) bool) Source {
+	return FuncSource(func() (Ref, bool) {
+		for {
+			r, ok := src.Next()
+			if !ok {
+				return Ref{}, false
+			}
+			if keep(r) {
+				return r, true
+			}
+		}
+	})
+}
+
+// Collect materializes up to max references from src (max <= 0 means all).
+func Collect(src Source, max int64) []Ref {
+	var out []Ref
+	for max <= 0 || int64(len(out)) < max {
+		r, ok := src.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestSliceSource(t *testing.T) {
 	refs := mkRefs(1, 0, 64, 128)
 	s := NewSliceSource(refs)
@@ -43,73 +96,6 @@ func TestSliceSource(t *testing.T) {
 		t.Fatalf("Remaining = %d, want 0", s.Remaining())
 	}
 }
-
-func TestSliceSourcePosSetPos(t *testing.T) {
-	refs := mkRefs(1, 0, 64, 128, 192)
-	s := NewSliceSource(refs)
-	s.Next()
-	if s.Pos() != 1 {
-		t.Fatalf("Pos = %d, want 1", s.Pos())
-	}
-	s.SetPos(3)
-	if r, ok := s.Next(); !ok || r != refs[3] {
-		t.Fatalf("after SetPos(3): got (%v,%v), want %v", r, ok, refs[3])
-	}
-	s.SetPos(-5)
-	if s.Pos() != 0 {
-		t.Fatalf("SetPos(-5) left Pos = %d, want clamp to 0", s.Pos())
-	}
-	s.SetPos(99)
-	if _, ok := s.Next(); ok {
-		t.Fatal("SetPos past the end should exhaust the source")
-	}
-}
-
-// TestSkip covers the checkpoint-resume primitive: the fast SliceSource
-// path, the generic drain path, over-skipping, and Err forwarding.
-func TestSkip(t *testing.T) {
-	refs := mkRefs(2, 0, 64, 128, 192, 256)
-
-	got := Collect(Skip(NewSliceSource(refs), 2), 0)
-	if len(got) != 3 || got[0] != refs[2] {
-		t.Fatalf("slice skip: got %v, want refs[2:]", got)
-	}
-
-	// Generic path: a bare FuncSource has no SetPos and must be drained.
-	i := 0
-	fn := FuncSource(func() (Ref, bool) {
-		if i >= len(refs) {
-			return Ref{}, false
-		}
-		r := refs[i]
-		i++
-		return r, true
-	})
-	got = Collect(Skip(fn, 2), 0)
-	if len(got) != 3 || got[0] != refs[2] {
-		t.Fatalf("func skip: got %v, want refs[2:]", got)
-	}
-
-	if got := Collect(Skip(NewSliceSource(refs), 99), 0); len(got) != 0 {
-		t.Fatalf("over-skip yielded %v", got)
-	}
-
-	errSrc := &erroringSource{err: ErrBadTrace}
-	sk := Skip(errSrc, 1)
-	if _, ok := sk.Next(); ok {
-		t.Fatal("erroring source yielded a ref")
-	}
-	fe, ok := sk.(interface{ Err() error })
-	if !ok || fe.Err() != ErrBadTrace {
-		t.Fatalf("Skip dropped the source's Err: %v, %v", ok, fe)
-	}
-}
-
-// erroringSource is exhausted from the start with a sticky decode error.
-type erroringSource struct{ err error }
-
-func (s *erroringSource) Next() (Ref, bool) { return Ref{}, false }
-func (s *erroringSource) Err() error        { return s.err }
 
 func TestConcatLimitFilter(t *testing.T) {
 	a := NewSliceSource(mkRefs(0, 1, 2))
