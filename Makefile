@@ -1,7 +1,14 @@
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover ci
+.PHONY: fmt build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover ci
+
+# Formatting gate: fails, listing the files, when any Go file in the
+# tree (cmd/perfbench included) is not gofmt-clean.
+fmt:
+	@out=$$($(GOFMT) -l .); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -130,4 +137,4 @@ cover:
 	floor ./explore 70
 
 # Tier-1+ gate (ROADMAP.md): everything CI runs.
-ci: vet build test race fuzz resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover
+ci: fmt vet build test race fuzz resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover

@@ -155,17 +155,13 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Executors = execs
-		// Jobs route by fingerprint hash so any coordinator replica sends
-		// the same spec to the same node, and a join/leave reroutes only
-		// its own share.
-		cfg.HashRouting = true
 		// Unless pinned, size the dispatch pool to what the fleet can
 		// actually run: local goroutines beyond the remote slot total
 		// would just queue on workers and be shed back.
 		if *workers == 0 && slots > 0 {
 			cfg.Workers = slots
 		}
-		log.Printf("fleet: %d workers, %d slots, hash routing on", len(execs), slots)
+		log.Printf("fleet: %d workers, %d slots", len(execs), slots)
 	}
 	sched, err := serve.New(cfg)
 	if err != nil {

@@ -246,11 +246,9 @@ type Options struct {
 	// Retries re-runs transiently-failed cells (timeouts, recovered
 	// panics) up to this many extra attempts; permanent failures —
 	// ErrConfig, protocol violations, bad references or traces,
-	// deliberate cancellation — never retry.
+	// deliberate cancellation — never retry. The first retry waits
+	// 250ms, and the wait doubles on each further one, up to 30s.
 	Retries int
-	// RetryBackoff is the delay before the first retry, doubling on
-	// each subsequent one (bounded); zero means a 250ms default.
-	RetryBackoff time.Duration
 	// Progress, when set, receives live counters (references applied,
 	// cells done, journal writes) that Progress.Heartbeat can report.
 	Progress *Progress

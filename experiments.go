@@ -136,21 +136,18 @@ func transientFailure(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrCellPanic)
 }
 
-// Retry backoff bounds: the first retry waits RetryBackoff (or the
-// default), doubling each attempt up to the cap.
+// Retry backoff bounds: the first retry waits 250ms, doubling each
+// attempt up to the cap.
 const (
-	defaultRetryBackoff = 250 * time.Millisecond
-	maxRetryBackoff     = 30 * time.Second
+	firstRetryBackoff = 250 * time.Millisecond
+	maxRetryBackoff   = 30 * time.Second
 )
 
 // runWithRetries runs one cell, re-running transient failures up to
 // Options.Retries extra attempts with bounded exponential backoff. It
 // returns the attempt count alongside the final outcome.
 func runWithRetries(exp string, j runJob) (Result, int, error) {
-	backoff := j.opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
+	backoff := firstRetryBackoff
 	attempts := 0
 	for {
 		attempts++

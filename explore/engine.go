@@ -41,21 +41,20 @@ type Progress struct {
 	Frontier   int    `json:"frontier,omitempty"`
 }
 
-// Engine runs explorations against a Submitter.
+// Engine runs explorations against a Submitter. The analytic model
+// uses the paper's latencies (stats.DefaultLatencies) and geometry
+// (memsys.DefaultGeometry); the Submitter's scheduler must simulate
+// with the same machine, or the predicted-vs-simulated provenance will
+// show systematic error. A submission the scheduler sheds with ErrBusy
+// is retried after busyBackoff, doubling up to 64x.
 type Engine struct {
 	Sub Submitter
-	// Lat and Geometry parameterize the analytic model; zero values
-	// mean the paper's defaults. They must match the machine options
-	// the Submitter's scheduler simulates with, or the predicted-vs-
-	// simulated provenance will show systematic error.
-	Lat      stats.Latencies
-	Geometry memsys.Geometry
 	// OnProgress, when set, observes every phase tick.
 	OnProgress func(Progress)
-	// BusyBackoff is the initial retry delay when the scheduler sheds a
-	// submission with ErrBusy; it doubles up to 64x. 0 means 50ms.
-	BusyBackoff time.Duration
 }
+
+// busyBackoff is the first retry delay after an ErrBusy shed.
+const busyBackoff = 50 * time.Millisecond
 
 // Report is the canonical outcome of one exploration.
 type Report struct {
@@ -149,8 +148,8 @@ func (e *Engine) Run(ctx context.Context, sp Space) (*Report, error) {
 		return nil, fmt.Errorf("explore: baseline cell: %w", err)
 	}
 	est := Estimator{
-		Lat:         e.lat(),
-		Geometry:    e.geometry(),
+		Lat:         stats.DefaultLatencies(),
+		Geometry:    memsys.DefaultGeometry(),
 		SharedBytes: bench.SharedBytes,
 		Base:        baseRes.Counters,
 	}
@@ -293,16 +292,12 @@ func (e *Engine) runCell(ctx context.Context, req serve.Request) (dsmnc.Result, 
 // submit pushes one request through scheduler backpressure: ErrBusy
 // sheds are retried with doubling backoff while the context lives.
 func (e *Engine) submit(ctx context.Context, req serve.Request) (serve.Status, error) {
-	backoff := e.BusyBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
 	for try := 0; ; try++ {
 		st, err := e.Sub.Submit(req)
 		if err == nil || !errors.Is(err, serve.ErrBusy) || errors.Is(err, serve.ErrDraining) {
 			return st, err
 		}
-		delay := backoff << min(try, 6)
+		delay := busyBackoff << min(try, 6)
 		select {
 		case <-ctx.Done():
 			return serve.Status{}, ctx.Err()
@@ -328,18 +323,4 @@ func (e *Engine) tick(p Progress) {
 	if e.OnProgress != nil {
 		e.OnProgress(p)
 	}
-}
-
-func (e *Engine) lat() stats.Latencies {
-	if e.Lat == (stats.Latencies{}) {
-		return stats.DefaultLatencies()
-	}
-	return e.Lat
-}
-
-func (e *Engine) geometry() memsys.Geometry {
-	if e.Geometry == (memsys.Geometry{}) {
-		return memsys.DefaultGeometry()
-	}
-	return e.Geometry
 }

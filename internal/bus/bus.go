@@ -141,19 +141,6 @@ func (b *Bus) InvalidateAll(blk memsys.Block) (copies int, hadDirty bool) {
 	return copies, hadDirty
 }
 
-// ExtractDirty finds a Modified copy of blk, removes it, and reports
-// whether one existed. It is used when an inclusive NC evicts a dirty
-// frame and must pull the freshest data out of the processor caches.
-func (b *Bus) ExtractDirty(blk memsys.Block) bool {
-	for _, c := range b.caches {
-		if ln := c.Lookup(blk); ln != nil && ln.State.Dirty() {
-			c.Evict(blk)
-			return true
-		}
-	}
-	return false
-}
-
 // DowngradeDirty finds a Modified copy of blk and downgrades it to the
 // given clean state, reporting whether one existed (remote read
 // intervention). Remote-home blocks downgrade to RemoteMaster — the

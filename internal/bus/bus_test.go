@@ -113,7 +113,7 @@ func TestInvalidateAll(t *testing.T) {
 
 func TestExtractAndDowngradeDirty(t *testing.T) {
 	b := newBus()
-	if b.ExtractDirty(3) || b.DowngradeDirty(3, cache.Shared) {
+	if b.DowngradeDirty(3, cache.Shared) {
 		t.Fatal("found dirty in empty bus")
 	}
 	b.Fill(2, 3, cache.Modified)
@@ -122,13 +122,6 @@ func TestExtractAndDowngradeDirty(t *testing.T) {
 	}
 	if b.Probe(2, 3).State != cache.RemoteMaster {
 		t.Fatal("not downgraded to the requested state")
-	}
-	b.Fill(1, 6, cache.Modified)
-	if !b.ExtractDirty(6) {
-		t.Fatal("ExtractDirty missed")
-	}
-	if b.HasBlock(6) {
-		t.Fatal("extracted block still present")
 	}
 }
 
@@ -228,7 +221,7 @@ func TestMOESISnoopRead(t *testing.T) {
 	if st := b.Probe(1, 7).State; st != cache.Owned {
 		t.Fatalf("supplier state = %v, want O under MOESI", st)
 	}
-	// The Owned copy still answers DowngradeDirty and ExtractDirty.
+	// The Owned copy still answers DowngradeDirty.
 	if !b.HasDirty(7) {
 		t.Fatal("O not dirty")
 	}

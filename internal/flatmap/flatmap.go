@@ -19,10 +19,7 @@
 // and never retain them across inserts.
 package flatmap
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // fib is the 64-bit Fibonacci hashing multiplier (2^64 / φ).
 const fib = 0x9e3779b97f4a7c15
@@ -148,18 +145,6 @@ func (m *Map[V]) remove(i, mask uint64) {
 	var zero V
 	m.keys[i] = 0
 	m.vals[i] = zero
-}
-
-// Keys returns the live keys in ascending order.
-func (m *Map[V]) Keys() []uint64 {
-	out := make([]uint64, 0, m.live)
-	for _, kk := range m.keys {
-		if kk != 0 {
-			out = append(out, kk-1)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Range calls fn for every live entry in unspecified order; fn

@@ -1,9 +1,6 @@
 package flatmap
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 // lcg is the deterministic generator used across the repo's tests.
 type lcg uint64
@@ -55,18 +52,6 @@ func TestMapDifferential(t *testing.T) {
 	}
 	if m.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
-	}
-	keys := m.Keys()
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("Keys not ascending")
-	}
-	if len(keys) != len(ref) {
-		t.Fatalf("Keys returned %d keys, want %d", len(keys), len(ref))
-	}
-	for _, k := range keys {
-		if *m.Get(k) != ref[k] {
-			t.Fatalf("key %d: %d != %d", k, *m.Get(k), ref[k])
-		}
 	}
 	n := 0
 	m.Range(func(k uint64, v *int64) bool {

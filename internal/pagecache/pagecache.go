@@ -216,8 +216,8 @@ func (pc *PageCache) Relocate(p memsys.Page) (ev *Evicted, raised bool) {
 	return ev, raised
 }
 
-// Unmap removes page p without replacement pressure (used by tests and by
-// dynamic PC resizing), returning its flush record.
+// Unmap removes page p without replacement pressure (used when a
+// replicated page's copies are flushed), returning its flush record.
 func (pc *PageCache) Unmap(p memsys.Page) *Evicted {
 	f := pc.byPage.Get(uint64(p))
 	if f == nil {
@@ -256,39 +256,6 @@ func (pc *PageCache) flush(f *frame) *Evicted {
 	}
 	pc.byPage.Del(uint64(page))
 	return ev
-}
-
-// Resize changes the page-cache capacity to frames, evicting
-// least-recently-missed pages if it shrinks below the mapped count. The
-// paper names dynamic adjustability as the page cache's decisive
-// advantage over fixed network caches ("the page cache size can be
-// adjusted dynamically, whereas the NC size is configurable at best",
-// §8); this is that mechanism. Evicted pages are returned for the
-// caller to flush.
-func (pc *PageCache) Resize(frames int) []*Evicted {
-	if frames < 1 {
-		frames = 1
-	}
-	var evicted []*Evicted
-	for pc.byPage.Len() > frames {
-		ev := pc.flush(pc.lrmVictim())
-		pc.policy.frameReused(ev.Hits, pc)
-		evicted = append(evicted, ev)
-	}
-	pc.frames = frames
-	pc.policy.bindFrames(frames)
-	return evicted
-}
-
-// MappedPages returns the mapped pages in ascending order (testing and
-// reporting).
-func (pc *PageCache) MappedPages() []memsys.Page {
-	keys := pc.byPage.Keys()
-	out := make([]memsys.Page, len(keys))
-	for i, k := range keys {
-		out[i] = memsys.Page(k)
-	}
-	return out
 }
 
 // resetAllHitCounters supports the adaptive policy: when the threshold is

@@ -147,16 +147,6 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
-func TestMappedPages(t *testing.T) {
-	pc := newPC(3)
-	pc.Relocate(7)
-	pc.Relocate(9)
-	got := pc.MappedPages()
-	if len(got) != 2 {
-		t.Fatalf("MappedPages = %v", got)
-	}
-}
-
 func TestFixedPolicyNeverRaises(t *testing.T) {
 	pc := mustNew(1, NewFixedPolicy(32))
 	for p := memsys.Page(0); p < 100; p++ {
@@ -326,49 +316,6 @@ func TestPageCacheInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResize(t *testing.T) {
-	pc := mustNew(4, NewFixedPolicy(32))
-	for p := memsys.Page(0); p < 4; p++ {
-		pc.Relocate(p)
-	}
-	pc.Install(blockOf(3, 0), false) // page 3 most recently missed
-	pc.WriteDirty(blockOf(0, 1))
-	// Shrink to 2 frames: the two least-recently-missed pages go,
-	// flushing dirty blocks.
-	evicted := pc.Resize(2)
-	if len(evicted) != 2 {
-		t.Fatalf("Resize evicted %d pages, want 2", len(evicted))
-	}
-	if pc.Frames() != 2 || pc.Mapped() != 2 {
-		t.Fatalf("frames=%d mapped=%d", pc.Frames(), pc.Mapped())
-	}
-	if !pc.IsMapped(3) {
-		t.Fatal("most recently missed page evicted")
-	}
-	var dirtyFlushed int
-	for _, ev := range evicted {
-		dirtyFlushed += len(ev.Dirty)
-	}
-	if dirtyFlushed != 1 {
-		t.Fatalf("dirty blocks flushed = %d, want 1", dirtyFlushed)
-	}
-	// Growing never evicts.
-	if evs := pc.Resize(8); len(evs) != 0 {
-		t.Fatal("grow evicted pages")
-	}
-	if pc.Frames() != 8 {
-		t.Fatal("grow did not take")
-	}
-	// Minimum of one frame.
-	pc.Resize(0)
-	if pc.Frames() != 1 {
-		t.Fatalf("Frames = %d, want 1", pc.Frames())
-	}
-	if pc.Mapped() > 1 {
-		t.Fatal("shrink to 1 left extra pages")
 	}
 }
 

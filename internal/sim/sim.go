@@ -47,17 +47,13 @@ type Config struct {
 	// unless CountersNone).
 	Counters cluster.CounterMode
 
-	// Placement assigns pages to homes; nil means first-touch.
-	Placement memsys.PlacementPolicy
-
 	// NewDirectory builds the system coherence engine; nil means the
 	// full-map directory. Use directory.NewLimited for the Dir_iB
 	// scalability experiments.
 	NewDirectory func(clusters int) (directory.Protocol, error)
 
 	// Migration, when non-nil, enables SGI-Origin-style OS page
-	// migration and replication with the given thresholds. Requires a
-	// placement policy that supports re-homing (first-touch does).
+	// migration and replication with the given thresholds.
 	Migration *migration.Config
 
 	// MOESI enables the dirty-shared O state (paper §3.2's option).
@@ -88,8 +84,7 @@ type System struct {
 	geo      memsys.Geometry
 	dir      directory.Protocol
 	dirFull  *directory.Directory // non-nil when dir is the full-map directory: direct calls skip the interface dispatch on every miss
-	place    memsys.PlacementPolicy
-	ft       *memsys.FirstTouch // non-nil when place is first-touch: direct calls skip the interface dispatch on every reference
+	ft       *memsys.FirstTouch   // first-touch page placement (paper §5.2)
 	clusters []*cluster.Cluster
 	decrDir  bool // decrement directory counters on false invalidations
 	mig      *migration.Engine
@@ -116,7 +111,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{
 		geo:     cfg.Geometry,
-		place:   cfg.Placement,
+		ft:      memsys.NewFirstTouch(),
 		sampler: cfg.Sampler,
 		tracer:  cfg.Tracer,
 	}
@@ -138,10 +133,6 @@ func New(cfg Config) (*System, error) {
 		s.dir = d
 	}
 	s.dirFull, _ = s.dir.(*directory.Directory)
-	if s.place == nil {
-		s.place = memsys.NewFirstTouch()
-	}
-	s.ft, _ = s.place.(*memsys.FirstTouch)
 	procs := cfg.Geometry.Procs()
 	s.pidCluster = make([]int32, procs)
 	s.pidLocal = make([]int32, procs)
@@ -196,7 +187,7 @@ func New(cfg Config) (*System, error) {
 			Geometry: cfg.Geometry,
 			Dir:      s.dir,
 			Clusters: s.clusters,
-			Home:     s.place.HomeIfPlaced,
+			Home:     s.ft.HomeIfPlaced,
 		})
 	}
 	return s, nil
@@ -241,12 +232,7 @@ func (s *System) Apply(r trace.Ref) error {
 	}
 	c := int(s.pidCluster[pid])
 	page := memsys.PageOf(r.Addr)
-	var home int
-	if s.ft != nil {
-		home = s.ft.Home(page, c)
-	} else {
-		home = s.place.Home(page, c)
-	}
+	home := s.ft.Home(page, c)
 	write := r.Op == trace.Write
 	if s.tracer != nil {
 		s.tracer.Tick(s.applied)
@@ -290,7 +276,7 @@ func (s *System) Apply(r trace.Ref) error {
 // no tracer, migration engine, checker or sampler is attached, the
 // per-reference nil checks for those hooks are hoisted out of the loop.
 func (s *System) ApplyBatch(refs []trace.Ref) (int, error) {
-	if s.tracer != nil || s.mig != nil || s.checker != nil || s.sampleEvery > 0 || s.ft == nil {
+	if s.tracer != nil || s.mig != nil || s.checker != nil || s.sampleEvery > 0 {
 		for i := range refs {
 			if err := s.Apply(refs[i]); err != nil {
 				return i, err
@@ -448,10 +434,8 @@ func (s *System) Fetch(c int, b memsys.Block, write bool) cluster.FetchReply {
 		case migration.Replicate:
 			s.clusters[c].C.Replications++
 		case migration.Migrate:
-			if rh, ok := s.place.(memsys.Rehomer); ok {
-				rh.Rehome(page, c)
-				s.clusters[c].C.Migrations++
-			}
+			s.ft.Rehome(page, c)
+			s.clusters[c].C.Migrations++
 		}
 	}
 	remoteDirty := false
@@ -520,15 +504,7 @@ func (s *System) SoleSharer(c int, b memsys.Block) bool {
 // the machine's sticky error (surfaced by the enclosing Apply) and home
 // 0 is returned so the access can limp to the end of the reference.
 func (s *System) HomeOf(p memsys.Page) int {
-	var (
-		h  int
-		ok bool
-	)
-	if s.ft != nil {
-		h, ok = s.ft.HomeIfPlaced(p)
-	} else {
-		h, ok = s.place.HomeIfPlaced(p)
-	}
+	h, ok := s.ft.HomeIfPlaced(p)
 	if !ok {
 		s.fail(fmt.Errorf("%w: page %d referenced before placement", ErrProtocol, p))
 		return 0

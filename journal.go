@@ -178,8 +178,8 @@ func (j *Journal) Close() error { return j.f.Close() }
 // processor caches, workload scale, interleaving grain, latency table,
 // checking — into an FNV-64a hex token stored with every journal
 // record. Runtime-only knobs (KeepGoing, CellTimeout, Journal, Retries,
-// RetryBackoff, Progress) are excluded: they change how a sweep runs,
-// not what its cells compute.
+// Progress) are excluded: they change how a sweep runs, not what its
+// cells compute.
 func (o Options) fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "geo=%dx%d l1=%d/%d scale=%d q=%d lat=%+v check=%t",

@@ -111,16 +111,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// PlacementPolicy assigns home clusters to pages.
-type PlacementPolicy interface {
-	// Home returns the home cluster of page p, assigning one on first
-	// use. requester is the cluster performing the access that caused
-	// the lookup (used by first-touch).
-	Home(p Page, requester int) int
-	// HomeIfPlaced returns the home of p without assigning one.
-	HomeIfPlaced(p Page) (int, bool)
-}
-
 // FirstTouch places each page on the cluster whose processor touches it
 // first (paper §5.2, Marchetti et al. [17]). The SPLASH-2 programs are
 // written so that first-touch is near-optimal.
@@ -164,12 +154,6 @@ func (ft *FirstTouch) HomeIfPlaced(p Page) (int, bool) {
 	return 0, false
 }
 
-// Rehomer is implemented by placement policies that support OS page
-// migration: Rehome moves page p to cluster c.
-type Rehomer interface {
-	Rehome(p Page, c int)
-}
-
 // Rehome migrates page p to cluster c (OS page migration).
 func (ft *FirstTouch) Rehome(p Page, c int) {
 	h, _ := ft.home.Put(uint64(p))
@@ -178,44 +162,3 @@ func (ft *FirstTouch) Rehome(p Page, c int) {
 		ft.lastHome = int32(c)
 	}
 }
-
-// Pages returns the number of placed pages.
-func (ft *FirstTouch) Pages() int { return ft.home.Len() }
-
-// PagesOn returns how many pages are homed on cluster c.
-func (ft *FirstTouch) PagesOn(c int) int {
-	n := 0
-	ft.home.Range(func(_ uint64, h *int32) bool {
-		if int(*h) == c {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
-// RoundRobin places pages round-robin across clusters by page number.
-// It is used by micro-benchmarks and tests that want placement to be
-// independent of access order.
-type RoundRobin struct {
-	Clusters int
-}
-
-// Home returns p's home cluster (p mod Clusters).
-func (rr RoundRobin) Home(p Page, _ int) int { return int(uint64(p) % uint64(rr.Clusters)) }
-
-// HomeIfPlaced always succeeds: round-robin placement is total.
-func (rr RoundRobin) HomeIfPlaced(p Page) (int, bool) {
-	return int(uint64(p) % uint64(rr.Clusters)), true
-}
-
-// Fixed places every page on a single cluster. Useful in unit tests.
-type Fixed struct {
-	Cluster int
-}
-
-// Home returns the fixed home cluster.
-func (f Fixed) Home(_ Page, _ int) int { return f.Cluster }
-
-// HomeIfPlaced always succeeds.
-func (f Fixed) HomeIfPlaced(_ Page) (int, bool) { return f.Cluster, true }

@@ -107,38 +107,12 @@ func TestFirstTouch(t *testing.T) {
 	if h, ok := ft.HomeIfPlaced(7); !ok || h != 3 {
 		t.Fatalf("HomeIfPlaced = (%d,%v), want (3,true)", h, ok)
 	}
-	if ft.Pages() != 1 {
-		t.Fatalf("Pages() = %d, want 1", ft.Pages())
-	}
 	ft.Home(8, 3)
 	ft.Home(9, 2)
-	if n := ft.PagesOn(3); n != 2 {
-		t.Fatalf("PagesOn(3) = %d, want 2", n)
-	}
-}
-
-func TestRoundRobinAndFixed(t *testing.T) {
-	rr := RoundRobin{Clusters: 8}
-	seen := make(map[int]bool)
-	for p := Page(0); p < 64; p++ {
-		h := rr.Home(p, 99)
-		if h < 0 || h >= 8 {
-			t.Fatalf("round robin home %d out of range", h)
+	for p, want := range map[Page]int{7: 3, 8: 3, 9: 2} {
+		if h, ok := ft.HomeIfPlaced(p); !ok || h != want {
+			t.Fatalf("HomeIfPlaced(%d) = (%d,%v), want (%d,true)", p, h, ok, want)
 		}
-		if h2, ok := rr.HomeIfPlaced(p); !ok || h2 != h {
-			t.Fatalf("HomeIfPlaced disagrees with Home")
-		}
-		seen[h] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("round robin used %d clusters, want 8", len(seen))
-	}
-	fx := Fixed{Cluster: 5}
-	if fx.Home(123, 0) != 5 {
-		t.Fatal("fixed placement did not return its cluster")
-	}
-	if h, ok := fx.HomeIfPlaced(1); !ok || h != 5 {
-		t.Fatal("fixed HomeIfPlaced wrong")
 	}
 }
 

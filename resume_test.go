@@ -232,7 +232,6 @@ func gateSweep(t *testing.T, opt Options) (Experiment, error) {
 func TestRetriesTransientFailure(t *testing.T) {
 	opt := testOptions()
 	opt.Retries = 2
-	opt.RetryBackoff = time.Millisecond
 	var calls atomic.Int64
 	opt.cellGate = func(exp, bench, system string) error {
 		if calls.Add(1) <= 2 {
@@ -258,7 +257,6 @@ func TestRetriesExhaustedRecordsAttempts(t *testing.T) {
 	opt := testOptions()
 	opt.KeepGoing = true
 	opt.Retries = 2
-	opt.RetryBackoff = time.Millisecond
 	opt.cellGate = func(exp, bench, system string) error {
 		return context.DeadlineExceeded
 	}
@@ -287,7 +285,6 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	opt := testOptions()
 	opt.KeepGoing = true
 	opt.Retries = 3
-	opt.RetryBackoff = time.Millisecond
 	poisoned := System{Name: "poisoned", NC: NCKind(99)}
 	exp, err := Sweep("retry-test", "permanent failure sweep",
 		[]*workload.Bench{workload.FFT(opt.Scale)}, []System{poisoned}, opt)
@@ -311,7 +308,6 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 func TestPanickedCellRetried(t *testing.T) {
 	opt := testOptions()
 	opt.Retries = 1
-	opt.RetryBackoff = time.Millisecond
 	var calls atomic.Int64
 	opt.cellGate = func(exp, bench, system string) error {
 		if calls.Add(1) == 1 {

@@ -38,8 +38,7 @@ func testChaosSoak(t *testing.T) {
 	chaosB := NewChaosExecutor(Local("chaos-1"), ChaosConfig{Seed: 2, Rate: 0.6})
 	s := mustScheduler(t, Config{
 		Workers: 4, QueueDepth: 256, KeepResults: 1 << 16,
-		LeaseTTL: 40 * time.Millisecond, LeaseTick: 5 * time.Millisecond,
-		RetryBackoff: time.Millisecond, RetrySeed: 7,
+		LeaseTTL: 40 * time.Millisecond, RetryBackoff: time.Millisecond,
 		MaxRetries: 12, QuarantineAfter: -1,
 		Executors: []Executor{chaosA, chaosB},
 		runFn:     fr.run,
@@ -112,7 +111,7 @@ func testChaosQuarantine(t *testing.T) {
 		Seed: 5, Rate: 1, Kinds: []ChaosKind{ChaosCrash},
 	})
 	s := mustScheduler(t, Config{
-		Workers: 2, LeaseTTL: 30 * time.Millisecond, LeaseTick: 5 * time.Millisecond,
+		Workers: 2, LeaseTTL: 30 * time.Millisecond,
 		RetryBackoff: -1, MaxRetries: 5,
 		QuarantineAfter: 2, QuarantineFor: time.Hour,
 		Executors: []Executor{rotten, Local("clean")},
@@ -169,8 +168,7 @@ func testChaosAvailability(t *testing.T) {
 		Seed: 9, Rate: 1, Kinds: []ChaosKind{ChaosCrash},
 	})
 	s := mustScheduler(t, Config{
-		Workers: 1, QueueDepth: 1,
-		LeaseTTL: 30 * time.Millisecond, LeaseTick: 5 * time.Millisecond,
+		Workers: 1, QueueDepth: 1, LeaseTTL: 30 * time.Millisecond,
 		RetryBackoff: -1, MaxRetries: 3,
 		QuarantineAfter: 1, QuarantineFor: time.Hour,
 		Executors: []Executor{rotten, Local("clean")},
@@ -186,7 +184,7 @@ func testChaosAvailability(t *testing.T) {
 	// Job A's first attempt crashes on the rotten executor (quarantining
 	// it), then its reassignment occupies the lone worker against the
 	// gate.
-	a, err := s.Submit(req(0))
+	a, err := s.Submit(reqHomedOn(t, s, "rotten"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +221,20 @@ func testChaosAvailability(t *testing.T) {
 	}
 }
 
+// reqHomedOn returns the first req(n), n >= 1000, whose ring home under
+// s is the named executor, so a test can aim a job at one domain. The
+// high n keeps it clear of the low-numbered requests tests submit.
+func reqHomedOn(t *testing.T, s *Scheduler, name string) Request {
+	t.Helper()
+	for n := 1000; n < 2000; n++ {
+		if id, _ := idFor(t, s, req(n)); s.ring.order(id)[0] == name {
+			return req(n)
+		}
+	}
+	t.Fatalf("no req(n) in [1000, 2000) homes on %q", name)
+	return Request{}
+}
+
 // testChaosGolden: the determinism contract under injection — four
 // golden corpus cells run through the real engine behind chaos-wrapped
 // executors, and every served result must remain field-identical to the
@@ -234,8 +246,7 @@ func testChaosGolden(t *testing.T) {
 	}
 	s := mustScheduler(t, Config{
 		Workers: 4, QueueDepth: 16,
-		LeaseTTL: 150 * time.Millisecond, LeaseTick: 5 * time.Millisecond,
-		RetryBackoff: time.Millisecond, RetrySeed: 11,
+		LeaseTTL: 150 * time.Millisecond, RetryBackoff: time.Millisecond,
 		MaxRetries: 8, QuarantineAfter: -1,
 		Executors: []Executor{
 			NewChaosExecutor(Local("chaos-0"), ChaosConfig{Seed: 11, Rate: 0.4}),

@@ -212,38 +212,24 @@ func (es *execState) noteLostLocked(k int, quarantineFor time.Duration, now time
 
 // pickExecutorLocked chooses the fault domain for a dispatch: healthy
 // executors first, preferring one other than the domain that just lost
-// the job's lease (avoid = j.lastExec). Candidates are walked in
-// routing order — the job ID's consistent-hash ring walk under hash
-// routing (so duplicate submissions land on the same node and a
-// join/leave moves only ~1/N of the fingerprints), round-robin
-// otherwise. When every executor is quarantined the scheduler still
+// the job's lease (avoid = j.lastExec). Candidates are walked in the
+// job ID's consistent-hash ring order, so duplicate submissions land
+// on the same node and a join/leave moves only ~1/N of the
+// fingerprints. When every executor is quarantined the scheduler still
 // serves — availability over purity — on the one whose quarantine
 // expires soonest.
 func (s *Scheduler) pickExecutorLocked(j *job) *execState {
 	now := time.Now()
 	avoid := j.lastExec
-	n := len(s.execs)
-	var candidates []*execState
-	if s.ring != nil {
-		for _, name := range s.ring.order(j.id) {
-			candidates = append(candidates, s.execByName[name])
-		}
-	} else {
-		candidates = make([]*execState, 0, n)
-		for i := 0; i < n; i++ {
-			candidates = append(candidates, s.execs[(s.rrNext+i)%n])
-		}
-	}
+	order := s.ring.order(j.id)
 	pick := func(allowAvoid bool) *execState {
-		for i, es := range candidates {
+		for _, name := range order {
+			es := s.execByName[name]
 			if !es.healthyLocked(now) {
 				continue
 			}
-			if !allowAvoid && n > 1 && es.name == avoid {
+			if !allowAvoid && len(order) > 1 && name == avoid {
 				continue
-			}
-			if s.ring == nil {
-				s.rrNext = (s.rrNext + i + 1) % n
 			}
 			return es
 		}
@@ -288,8 +274,8 @@ func (s *Scheduler) fleetSlots() int {
 
 // retryDelay computes the backoff before a reassigned job re-enters the
 // queue: exponential in the number of lease losses, jittered over
-// [d/2, d] by the scheduler's seeded RNG (full determinism under a
-// fixed RetrySeed), capped at maxDelay.
+// [d/2, d] by the scheduler's RNG, whose fixed seed makes the schedule
+// reproducible, capped at maxDelay.
 func retryDelay(base, maxDelay time.Duration, losses int, rng *rand.Rand) time.Duration {
 	if base <= 0 {
 		return 0

@@ -51,7 +51,7 @@ func TestLeaseLossReassigns(t *testing.T) {
 		return dsmnc.Result{Refs: 1}, nil
 	}
 	s := mustScheduler(t, Config{
-		Workers: 1, LeaseTTL: 30 * time.Millisecond, LeaseTick: 5 * time.Millisecond,
+		Workers: 1, LeaseTTL: 30 * time.Millisecond,
 		RetryBackoff: -1, MaxRetries: 2, QuarantineAfter: -1,
 		Executors: []Executor{flaky},
 	})

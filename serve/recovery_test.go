@@ -345,7 +345,7 @@ func TestWatchdogKillsWedgedJob(t *testing.T) {
 	wedge := make(chan struct{})
 	returned := make(chan struct{})
 	s, err := New(Config{
-		Workers: 1, WatchdogFactor: 2, WatchdogTick: 2 * time.Millisecond,
+		Workers: 1, WatchdogFactor: 2,
 		runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) {
 			// A wedged engine: ignores its context entirely.
 			defer close(returned)

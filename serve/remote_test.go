@@ -94,7 +94,7 @@ func newFleetHarness(t *testing.T, nodes int, run func(ctx context.Context, wt *
 		execs = append(execs, e)
 	}
 	cfg := Config{
-		Workers: 4, HashRouting: true, Executors: execs,
+		Workers: 4, Executors: execs,
 		LeaseTTL: 150 * time.Millisecond, MaxRetries: 6, RetryBackoff: 10 * time.Millisecond,
 		// The scheduler-side engine seam is unused — execution happens
 		// on the workers — but keep it synthetic for safety.

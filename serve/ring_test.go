@@ -168,7 +168,7 @@ func TestHashRoutingReplicaAgreement(t *testing.T) {
 				return dsmnc.Result{Refs: 1}, nil
 			}})
 		}
-		s, err := New(Config{Workers: 2, HashRouting: true, Executors: execs,
+		s, err := New(Config{Workers: 2, Executors: execs,
 			runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +247,7 @@ func TestHashRoutingFallsBackOffHome(t *testing.T) {
 			return dsmnc.Result{Refs: 1}, nil
 		}})
 	}
-	s, err := New(Config{Workers: 1, HashRouting: true, Executors: execs,
+	s, err := New(Config{Workers: 1, Executors: execs,
 		MaxRetries: 2, RetryBackoff: -1,
 		runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 	if err != nil {

@@ -142,48 +142,37 @@ type Config struct {
 	// 0 disables the watchdog; jobs without a deadline are never
 	// watchdog-killed.
 	WatchdogFactor float64
-	// WatchdogTick is how often the watchdog scans running jobs;
-	// 0 means 250ms.
-	WatchdogTick time.Duration
 	// CompactEvery bounds ledger growth: after this many terminal
 	// records the ledger is rewritten (atomic tmp+rename) to just the
 	// live jobs' records, so its size tracks KeepResults instead of
 	// history. 0 means 2×KeepResults.
 	CompactEvery int
 
-	// Executors are the fault domains jobs dispatch to, round-robin
-	// among the healthy ones. Nil means one in-process Local executor.
-	// Names must be unique.
-	Executors []Executor
-	// HashRouting routes jobs to executors by consistent-hashing their
-	// idempotent ID over the executor names (128 virtual nodes per
-	// name) instead of round-robin: duplicate submissions land on the
+	// Executors are the fault domains jobs dispatch to. Each job routes
+	// by consistent-hashing its idempotent ID over the executor names
+	// (128 virtual nodes per name): duplicate submissions land on the
 	// same node fleet-wide, a node joining or leaving moves only ~1/N
 	// of the fingerprints, and any coordinator replica configured with
-	// the same names routes identically. Unhealthy or just-lost domains
-	// fall back along the ring walk; the quarantine breaker and retry
-	// budget apply unchanged.
-	HashRouting bool
+	// the same names routes identically. A job whose home domain is
+	// unhealthy or just lost its lease falls back along the ring walk.
+	// Nil means one in-process Local executor. Names must be unique.
+	Executors []Executor
 	// LeaseTTL is how long a running attempt may go without a
 	// heartbeat before its lease is revoked and the job reassigned.
 	// 0 means 15s; negative disables leases (the watchdog is then the
-	// only supervisor).
+	// only supervisor). The monitor scans leases and deadlines every
+	// 250ms, or every LeaseTTL/8 when that is shorter, never below 5ms.
 	LeaseTTL time.Duration
-	// LeaseTick is how often the monitor scans running leases;
-	// 0 means LeaseTTL/8 clamped to [5ms, 1s].
-	LeaseTick time.Duration
 	// MaxRetries bounds reassignments after lease losses: a job may be
 	// dispatched at most MaxRetries+1 times before it settles failed
 	// with ErrLeaseLost. 0 means 2; negative means no retries.
 	MaxRetries int
 	// RetryBackoff is the base delay before a reassigned job re-enters
 	// the queue; it doubles per consecutive loss (capped at 1min) and
-	// is jittered over [d/2, d] by a deterministic seeded RNG.
+	// is jittered over [d/2, d] by an RNG with a fixed seed, so the
+	// reassignment schedule is reproducible.
 	// 0 means 250ms; negative requeues immediately.
 	RetryBackoff time.Duration
-	// RetrySeed seeds the backoff jitter RNG, so a given seed yields a
-	// reproducible reassignment schedule. 0 means 1.
-	RetrySeed int64
 	// QuarantineAfter is the circuit breaker's threshold: an executor
 	// that loses this many leases consecutively is quarantined for
 	// QuarantineFor (then probed half-open). 0 means 3; negative
@@ -275,8 +264,7 @@ type Scheduler struct {
 	replayWait int          // replayed jobs still in runq, all at its head
 	execs      []*execState // executor fault domains, fixed at New
 	execByName map[string]*execState
-	ring       *ring      // consistent-hash routing; nil under round-robin
-	rrNext     int        // round-robin cursor over execs
+	ring       *ring      // consistent-hash routing over execs
 	retryRNG   *rand.Rand // seeded jitter source, under mu
 
 	wg sync.WaitGroup // worker pool
@@ -330,23 +318,11 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 2 * cfg.KeepResults
 	}
-	if cfg.WatchdogTick <= 0 {
-		cfg.WatchdogTick = 250 * time.Millisecond
-	}
 	switch {
 	case cfg.LeaseTTL == 0:
 		cfg.LeaseTTL = 15 * time.Second
 	case cfg.LeaseTTL < 0:
 		cfg.LeaseTTL = 0
-	}
-	if cfg.LeaseTick <= 0 {
-		cfg.LeaseTick = cfg.LeaseTTL / 8
-		if cfg.LeaseTick < 5*time.Millisecond {
-			cfg.LeaseTick = 5 * time.Millisecond
-		}
-		if cfg.LeaseTick > time.Second {
-			cfg.LeaseTick = time.Second
-		}
 	}
 	switch {
 	case cfg.MaxRetries == 0:
@@ -359,9 +335,6 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	case cfg.RetryBackoff < 0:
 		cfg.RetryBackoff = 0
-	}
-	if cfg.RetrySeed == 0 {
-		cfg.RetrySeed = 1
 	}
 	switch {
 	case cfg.QuarantineAfter == 0:
@@ -398,7 +371,7 @@ func New(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:         cfg,
 		jobs:        map[string]*job{},
-		retryRNG:    rand.New(rand.NewSource(cfg.RetrySeed)),
+		retryRNG:    rand.New(rand.NewSource(1)),
 		ledger:      cfg.Ledger,
 		stopMonitor: make(chan struct{}),
 		monitorDone: make(chan struct{}),
@@ -407,6 +380,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.wake = sync.NewCond(&s.mu)
 	s.execByName = map[string]*execState{}
+	names := make([]string, 0, len(cfg.Executors))
 	for _, e := range cfg.Executors {
 		if e == nil || e.Name() == "" {
 			return nil, fmt.Errorf("%w: executors must be non-nil and named", dsmnc.ErrConfig)
@@ -420,14 +394,9 @@ func New(cfg Config) (*Scheduler, error) {
 		es := &execState{exec: e, name: e.Name()}
 		s.execs = append(s.execs, es)
 		s.execByName[es.name] = es
+		names = append(names, es.name)
 	}
-	if cfg.HashRouting {
-		names := make([]string, 0, len(s.execs))
-		for _, es := range s.execs {
-			names = append(names, es.name)
-		}
-		s.ring = newRing(names)
-	}
+	s.ring = newRing(names)
 	s.runFn = func(ctx context.Context, j *job) (dsmnc.Result, error) {
 		return dsmnc.RunCell(ctx, "serve/"+j.id, j.bench, j.sys, j.opt)
 	}
@@ -573,6 +542,17 @@ func (s *Scheduler) RecoveryStats() (restored, replayed int64) {
 	return s.restoredJobs.Load(), s.replayedJobs.Load()
 }
 
+// monitorTick is the monitor's scan cadence: 250ms, or LeaseTTL/8
+// when that is shorter (so a lease is revoked within ~1/8 of its TTL
+// past expiry), never below 5ms. leaseTTL 0 means leases are off.
+func monitorTick(leaseTTL time.Duration) time.Duration {
+	tick := 250 * time.Millisecond
+	if leaseTTL > 0 && leaseTTL/8 < tick {
+		tick = max(leaseTTL/8, 5*time.Millisecond)
+	}
+	return tick
+}
+
 // monitor is the scheduler's supervisor goroutine, merging the lease
 // scan and the deadline watchdog: a running job whose last heartbeat is
 // older than LeaseTTL has its lease revoked and is reassigned
@@ -585,11 +565,7 @@ func (s *Scheduler) RecoveryStats() (restored, replayed int64) {
 // blocked on a dead attempt are still revoked during a drain.
 func (s *Scheduler) monitor() {
 	defer close(s.monitorDone)
-	tick := s.cfg.WatchdogTick
-	if s.cfg.LeaseTTL > 0 && (s.cfg.WatchdogFactor <= 0 || s.cfg.LeaseTick < tick) {
-		tick = s.cfg.LeaseTick
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(monitorTick(s.cfg.LeaseTTL))
 	defer t.Stop()
 	for {
 		select {

@@ -172,6 +172,25 @@ func TestServeSoak(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
+// TestMonitorTick pins the monitor's cadence at the lease settings in
+// use: dsmserved's default -lease 15s and the fleet benchmark's -lease
+// 1s, short test leases (floored at 5ms), and leases off.
+func TestMonitorTick(t *testing.T) {
+	for _, c := range []struct {
+		ttl, want time.Duration
+	}{
+		{15 * time.Second, 250 * time.Millisecond},
+		{time.Second, 125 * time.Millisecond},
+		{40 * time.Millisecond, 5 * time.Millisecond},
+		{30 * time.Millisecond, 5 * time.Millisecond},
+		{0, 250 * time.Millisecond},
+	} {
+		if got := monitorTick(c.ttl); got != c.want {
+			t.Errorf("monitorTick(%v) = %v, want %v", c.ttl, got, c.want)
+		}
+	}
+}
+
 func TestSubmitValidates(t *testing.T) {
 	s := mustScheduler(t, Config{Workers: 1})
 	defer s.Drain(context.Background())

@@ -66,56 +66,3 @@ func RemoteStream(bytes int64, passes int) *Bench {
 	}
 	return b
 }
-
-// PingPong returns a workload where pairs of processors in different
-// clusters alternately write the same block: pure coherence misses.
-func PingPong(rounds int) *Bench {
-	b := &Bench{
-		Name:        "pingpong",
-		Params:      fmt.Sprintf("%d rounds", rounds),
-		SharedBytes: memsys.PageBytes,
-	}
-	b.run = func(e *Emitter) {
-		P := e.Procs()
-		var l layout
-		base := l.region(memsys.PageBytes)
-		e.Write(0, base)
-		e.Barrier()
-		for i := 0; i < rounds; i++ {
-			for p := 0; p < P; p++ {
-				e.Read(p, base)
-				e.Write(p, base)
-				e.Barrier()
-			}
-		}
-	}
-	return b
-}
-
-// HotScatter returns a workload where each processor reads
-// single pseudo-random blocks of a large region owned by processor 0:
-// a sparse remote working set with minimal page utilization — the page
-// cache's worst case.
-func HotScatter(bytes int64, refsPerProc int) *Bench {
-	b := &Bench{
-		Name:        "hotscatter",
-		Params:      fmt.Sprintf("%dB, %d refs/proc", bytes, refsPerProc),
-		SharedBytes: bytes,
-	}
-	b.run = func(e *Emitter) {
-		P := e.Procs()
-		var l layout
-		base := l.region(bytes)
-		blocks := int(bytes / memsys.BlockBytes)
-		e.WriteRange(0, base, bytes, memsys.PageBytes)
-		e.Barrier()
-		for p := 0; p < P; p++ {
-			r := newRNG(uint64(p + 1))
-			for i := 0; i < refsPerProc; i++ {
-				e.Read(p, base+memsys.Addr(r.intn(blocks))*memsys.BlockBytes)
-			}
-		}
-		e.Barrier()
-	}
-	return b
-}

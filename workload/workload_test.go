@@ -237,8 +237,6 @@ func TestMicroWorkloads(t *testing.T) {
 	for _, b := range []*Bench{
 		Sequential(2048, 2),
 		RemoteStream(4096, 2),
-		PingPong(5),
-		HotScatter(1<<16, 100),
 	} {
 		n := 0
 		b.Emit(g, 1, func(trace.Ref) { n++ })
