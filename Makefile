@@ -2,7 +2,7 @@ GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: fmt build test race vet fuzz check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover ci
+.PHONY: fmt build test race vet fuzz lines check resume-smoke serve-smoke crash-smoke fleet-smoke chaos-smoke explore-smoke perfbench telemetry cover ci
 
 # Formatting gate: fails, listing the files, when any Go file in the
 # tree (cmd/perfbench included) is not gofmt-clean.
@@ -28,12 +28,14 @@ vet:
 	$(GO) vet ./...
 
 # Fuzz the hardened decoders for a bounded burst each: the binary
-# trace reader, the event-trace reader, the job-request decoder, the
+# trace reader, the trace-to-machine path (decoded bytes through
+# RunTrace into a checked machine), the event-trace reader, the job-request decoder, the
 # job-ledger loader, the status/readiness wire documents, the fleet
 # wire protocol (task dispatch and result) and the design-space spec
 # decoder.
 fuzz:
 	$(GO) test -run '^FuzzReader$$' -fuzz '^FuzzReader$$' -fuzztime $(FUZZTIME) ./trace
+	$(GO) test -run '^FuzzRunTrace$$' -fuzz '^FuzzRunTrace$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^FuzzEventTrace$$' -fuzz '^FuzzEventTrace$$' -fuzztime $(FUZZTIME) ./telemetry
 	$(GO) test -run '^FuzzJobRequest$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME) ./serve
 	$(GO) test -run '^FuzzLedger$$' -fuzz '^FuzzLedger$$' -fuzztime $(FUZZTIME) ./serve
@@ -41,6 +43,13 @@ fuzz:
 	$(GO) test -run '^FuzzWireRequest$$' -fuzz '^FuzzWireRequest$$' -fuzztime $(FUZZTIME) ./serve
 	$(GO) test -run '^FuzzWireResult$$' -fuzz '^FuzzWireResult$$' -fuzztime $(FUZZTIME) ./serve
 	$(GO) test -run '^FuzzExploreSpace$$' -fuzz '^FuzzExploreSpace$$' -fuzztime $(FUZZTIME) ./explore
+
+# Go line counts as ROADMAP.md tracks them: every *.go file outside
+# cmd/perfbench, split into non-test and test (*_test.go) lines. Not
+# part of ci; it reports, it does not gate.
+lines:
+	@find . -name '*.go' -not -path './cmd/perfbench/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go lines:", $$1}'
+	@find . -name '*.go' -not -path './cmd/perfbench/*' -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go lines:    ", $$1}'
 
 # The checked acceptance matrix: every workload x every principal
 # system organization under the coherence invariant checker.

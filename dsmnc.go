@@ -264,8 +264,9 @@ type Options struct {
 	// Sampler.
 	EventTrace *telemetry.Tracer
 
-	// cellGate, when set, is consulted at the start of every cell
-	// attempt; a non-nil return fails the cell with that error. Test
+	// cellGate, when set, is consulted at the start of every RunCell
+	// call with the cell's id (a sweep passes its experiment id); a
+	// non-nil return fails the cell with that error. Test
 	// hook for killing and fault-injecting sweeps deterministically.
 	cellGate func(exp, bench, system string) error
 }
@@ -402,52 +403,42 @@ func BuildFor(sharedBytes int64, s System, opt Options) (*sim.System, error) {
 }
 
 // Run simulates workload b on system s and returns the event account.
+// It is RunCell with no caller context: a panic comes back as
+// ErrCellPanic, and Options.CellTimeout bounds the run.
 func Run(b *workload.Bench, s System, opt Options) (Result, error) {
-	return RunContext(context.Background(), b, s, opt)
-}
-
-// RunContext is Run with cancellation: the simulation stops with ctx's
-// error shortly after the context ends (cancellation is polled off the
-// hot loop). Sweeps use it to bound runaway cells. It honors the
-// progress option the same way sweep cells do.
-func RunContext(ctx context.Context, b *workload.Bench, s System, opt Options) (Result, error) {
-	return runCell(ctx, runJob{bench: b, sys: s, opt: opt})
-}
-
-func finish(machine *sim.System, s System, bench string, refs int64, opt Options) Result {
-	// The series always ends on the exact end-of-run counters, even when
-	// the run length is not a multiple of the sampling interval.
-	machine.FlushSample()
-	res := Result{
-		System:   s.Name,
-		Bench:    bench,
-		Refs:     refs,
-		Counters: machine.Totals(),
-		Model:    stats.Model{Lat: opt.Latencies, Tech: s.Tech()},
-	}
-	res.PerCluster = make([]stats.Counters, opt.Geometry.Clusters)
-	for i := range res.PerCluster {
-		res.PerCluster[i] = machine.Cluster(i).C
-	}
-	return res
+	return RunCell(context.Background(), "", b, s, opt)
 }
 
 // RunTrace simulates an arbitrary trace source on system s. sharedBytes
 // sizes fractional page caches (pass the trace's data-set footprint, or
-// 0 if the system uses an absolute PCBytes). Decode errors from sources
-// exposing Err() — like trace.Reader or the fault injector — surface
-// once the stream ends.
+// 0 if the system uses an absolute PCBytes). The source is read in
+// 1024-reference chunks through the same driver RunCell uses. A
+// machine error comes first; decode errors from sources exposing Err()
+// — like trace.Reader or the fault injector — surface once the stream
+// ends.
 func RunTrace(src trace.Source, name string, sharedBytes int64, s System, opt Options) (Result, error) {
 	machine, err := BuildFor(sharedBytes, s, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if opt.Progress != nil {
-		src = progressSource{src: src, p: opt.Progress}
+	d := driver{ctx: context.Background(), machine: machine, prog: opt.Progress}
+	buf := make([]trace.Ref, 1024)
+	for d.err == nil {
+		k := 0
+		for ; k < len(buf); k++ {
+			r, ok := src.Next()
+			if !ok {
+				break
+			}
+			buf[k] = r
+		}
+		d.apply(buf[:k])
+		if k < len(buf) {
+			break
+		}
 	}
-	n, err := machine.Run(src)
-	if err != nil {
-		return Result{}, err
+	if fe, ok := src.(interface{ Err() error }); ok && d.err == nil {
+		d.err = fe.Err()
 	}
-	return finish(machine, s, name, n, opt), nil
+	return d.result(s, name, opt)
 }

@@ -6,6 +6,7 @@ import (
 
 	"dsmnc/memsys"
 	"dsmnc/stats"
+	"dsmnc/trace"
 	"dsmnc/workload"
 )
 
@@ -403,8 +404,9 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	opt := testOptions()
 	b := workload.FFT(opt.Scale)
 	direct := mustRun(t, b, VB(16<<10), opt)
-	src := b.Source(opt.Geometry, opt.Quantum)
-	viaTrace, err := RunTrace(src, "fft-trace", b.SharedBytes, VB(16<<10), opt)
+	var refs []trace.Ref
+	b.Emit(opt.Geometry, opt.Quantum, func(r trace.Ref) { refs = append(refs, r) })
+	viaTrace, err := RunTrace(trace.NewSliceSource(refs), "fft-trace", b.SharedBytes, VB(16<<10), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

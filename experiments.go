@@ -101,25 +101,6 @@ type runJob struct {
 // logic can treat the cell as transiently failed.
 var ErrCellPanic = errors.New("dsmnc: cell panicked")
 
-// safeRun executes one cell attempt through the exported RunCell engine
-// (panic recovery, per-cell timeout), after consulting the test-only
-// fault gate, so one poisoned cell cannot take down a whole sweep.
-func safeRun(exp string, j runJob) (res Result, err error) {
-	// RunCell recovers its own panics; this recover additionally covers
-	// the fault gate, which deliberately panics in the injection tests.
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: %v", ErrCellPanic, r)
-		}
-	}()
-	if gate := j.opt.cellGate; gate != nil {
-		if err := gate(exp, j.bench.Name, j.sys.Name); err != nil {
-			return Result{}, err
-		}
-	}
-	return RunCell(context.Background(), exp, j.bench, j.sys, j.opt)
-}
-
 // transientFailure reports whether a cell failure is worth retrying:
 // timeouts and recovered panics are; configuration errors, protocol
 // violations, bad references or traces, and deliberate cancellation are
@@ -151,7 +132,7 @@ func runWithRetries(exp string, j runJob) (Result, int, error) {
 	attempts := 0
 	for {
 		attempts++
-		res, err := safeRun(exp, j)
+		res, err := RunCell(context.Background(), exp, j.bench, j.sys, j.opt)
 		if err == nil || attempts > j.opt.Retries || !transientFailure(err) {
 			return res, attempts, err
 		}

@@ -1,7 +1,7 @@
 package dsmnc
 
 // The kill-and-restart half of the equivalence corpus: every committed
-// golden cell is run as a series of runCell lives sharing one
+// golden cell is run as a series of RunCell lives sharing one
 // workload.Bench, the way a sweep retries a cell that was killed. With
 // 2 or 4 shards the stream is cut at the shard boundaries, and life k
 // is canceled once it has applied k shards; a killed cell restarts
@@ -9,7 +9,7 @@ package dsmnc
 // new Sampler and a new Progress. The last life runs to the end and
 // must reproduce the corpus exactly: same reference count,
 // field-identical counters, and byte-identical sampler series (via the
-// committed SHA-256 digests). This drives runCell's cancellation cut at
+// committed SHA-256 digests). This drives RunCell's cancellation cut at
 // every shard boundary and checks that a canceled life leaves nothing
 // behind — in the bench's generator or anywhere else — that the next
 // life can see. These replays attach the sampler only and compare the
@@ -36,7 +36,7 @@ import (
 var goldenShardCounts = []int{2, 4}
 
 // cancelAtRefs is a context that reports cancellation once p has
-// counted cut applied references. runCell polls Err every 1024 applied
+// counted cut applied references. RunCell polls Err every 1024 applied
 // references, so with cut a multiple of 1024 a life stops exactly at
 // its cut.
 type cancelAtRefs struct {
@@ -53,7 +53,7 @@ func (c *cancelAtRefs) Err() error {
 }
 
 // runSplitCell replays one corpus cell of refs references as shards
-// consecutive runCell lives on one bench, killing life k after k
+// consecutive RunCell lives on one bench, killing life k after k
 // shards, and returns the last life's outcome.
 func runSplitCell(t *testing.T, sys System, benchName string, shards int, refs int64) diffOutcome {
 	t.Helper()
@@ -74,7 +74,7 @@ func runSplitCell(t *testing.T, sys System, benchName string, shards int, refs i
 		if life < shards {
 			ctx = &cancelAtRefs{Context: ctx, p: prog, cut: int64(life) * per}
 		}
-		res, err := runCell(ctx, runJob{bench: bench, sys: sys, opt: opt})
+		res, err := RunCell(ctx, "", bench, sys, opt)
 		applied := prog.Refs.Load()
 		if life < shards {
 			if !errors.Is(err, context.Canceled) {

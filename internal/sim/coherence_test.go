@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dsmnc/internal/cache"
+	"dsmnc/internal/check"
 	"dsmnc/internal/cluster"
 	"dsmnc/internal/core"
 	"dsmnc/internal/migration"
@@ -70,6 +71,13 @@ func randomTrace(seed int64, n int, procs int) []trace.Ref {
 	return refs
 }
 
+// checkCoherence runs the invariant checker's full block check over
+// blocks of s.
+func checkCoherence(s *System, blocks []memsys.Block) error {
+	c := check.New(check.Config{Geometry: s.geo, Dir: s.dir, Clusters: s.clusters, Home: s.ft.HomeIfPlaced})
+	return c.CheckAll(blocks)
+}
+
 // TestCoherenceUnderRandomTraffic drives random sharing traffic through
 // every organization and checks the global single-writer invariant and
 // event conservation afterwards.
@@ -82,10 +90,8 @@ func TestCoherenceUnderRandomTraffic(t *testing.T) {
 	}
 	for name, s := range systemsUnderTest() {
 		refs := randomTrace(99, 20000, s.Geometry().Procs())
-		for _, r := range refs {
-			s.Apply(r)
-		}
-		if err := s.CheckCoherence(blocks); err != nil {
+		applyAll(t, s, refs)
+		if err := checkCoherence(s, blocks); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		tot := s.Totals()
@@ -123,13 +129,11 @@ func TestDirtyOwnerAlwaysHoldsData(t *testing.T) {
 			Counters: cluster.CountersNCSet,
 		})
 		n := int(nOps%2000) + 100
-		for _, r := range randomTrace(seed, n, geo.Procs()) {
-			s.Apply(r)
-		}
+		applyAll(t, s, randomTrace(seed, n, geo.Procs()))
 		for page := 0; page < 8; page++ {
 			for blk := 0; blk < 16; blk++ {
 				b := memsys.FirstBlock(memsys.Page(page)) + memsys.Block(blk)
-				if err := s.CheckCoherence([]memsys.Block{b}); err != nil {
+				if err := checkCoherence(s, []memsys.Block{b}); err != nil {
 					return false
 				}
 			}
@@ -153,16 +157,14 @@ func TestMOESISystemCoherence(t *testing.T) {
 		},
 		MOESI: true,
 	})
-	for _, r := range randomTrace(7, 20000, geo.Procs()) {
-		s.Apply(r)
-	}
+	applyAll(t, s, randomTrace(7, 20000, geo.Procs()))
 	var blocks []memsys.Block
 	for page := 0; page < 8; page++ {
 		for blk := 0; blk < 16; blk++ {
 			blocks = append(blocks, memsys.FirstBlock(memsys.Page(page))+memsys.Block(blk))
 		}
 	}
-	if err := s.CheckCoherence(blocks); err != nil {
+	if err := checkCoherence(s, blocks); err != nil {
 		t.Fatal(err)
 	}
 	// MOESI must reduce (or match) downgrade write-back traffic versus
@@ -174,9 +176,7 @@ func TestMOESISystemCoherence(t *testing.T) {
 			return core.NewVictim(core.VictimConfig{Bytes: 8 * memsys.BlockBytes, Ways: 4})
 		},
 	})
-	for _, r := range randomTrace(7, 20000, geo.Procs()) {
-		mesi.Apply(r)
-	}
+	applyAll(t, mesi, randomTrace(7, 20000, geo.Procs()))
 	mo, me := s.Totals(), mesi.Totals()
 	if mo.DowngradeWB != 0 {
 		t.Errorf("MOESI recorded %d downgrade write-backs, want 0", mo.DowngradeWB)
@@ -210,9 +210,7 @@ func TestDecrementedSystemCoherence(t *testing.T) {
 			Counters:          mode,
 			DecrementCounters: true,
 		})
-		for _, r := range randomTrace(13, 15000, geo.Procs()) {
-			s.Apply(r)
-		}
+		applyAll(t, s, randomTrace(13, 15000, geo.Procs()))
 		tot := s.Totals()
 		if tot.Refs.Total() != 15000 {
 			t.Errorf("mode %d: lost refs", mode)
@@ -231,16 +229,14 @@ func TestMigrationSystemCoherence(t *testing.T) {
 		L1:        cache.Config{Bytes: 8 * memsys.BlockBytes, Ways: 2},
 		Migration: &mc,
 	})
-	for _, r := range randomTrace(21, 25000, geo.Procs()) {
-		s.Apply(r)
-	}
+	applyAll(t, s, randomTrace(21, 25000, geo.Procs()))
 	var blocks []memsys.Block
 	for page := 0; page < 8; page++ {
 		for blk := 0; blk < 16; blk++ {
 			blocks = append(blocks, memsys.FirstBlock(memsys.Page(page))+memsys.Block(blk))
 		}
 	}
-	if err := s.CheckCoherence(blocks); err != nil {
+	if err := checkCoherence(s, blocks); err != nil {
 		t.Fatal(err)
 	}
 	tot := s.Totals()

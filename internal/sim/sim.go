@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -23,7 +22,7 @@ import (
 	"dsmnc/trace"
 )
 
-// Sentinel errors. Use errors.Is to classify failures from Apply/Run.
+// Sentinel errors. Use errors.Is to classify failures from Apply/ApplyBatch.
 var (
 	// ErrProtocol marks an internal protocol invariant violation — the
 	// simulator's own state went inconsistent. It wraps the structured
@@ -65,8 +64,9 @@ type Config struct {
 	// Check attaches the coherence invariant checker (internal/check):
 	// after every applied reference the machine-wide invariants for the
 	// touched block are validated, and the first violation surfaces as
-	// an ErrProtocol-wrapped *check.CheckError from Apply/Run. Roughly
-	// doubles per-reference cost; meant for tests and checked sweeps.
+	// an ErrProtocol-wrapped *check.CheckError from Apply/ApplyBatch.
+	// Roughly doubles per-reference cost; meant for tests and checked
+	// sweeps.
 	Check bool
 
 	// Sampler, when non-nil, records a machine-wide time-series sample
@@ -368,43 +368,6 @@ func (s *System) FlushSample() {
 // applied — the machine's position in its trace.
 func (s *System) RefsApplied() int64 { return s.applied }
 
-// Run drains src through the machine, returning the reference count and
-// the first error: a malformed or invariant-violating reference, or the
-// source's own decode error (sources exposing Err() error, like
-// trace.Reader, are consulted once the stream ends).
-func (s *System) Run(src trace.Source) (int64, error) {
-	return s.RunContext(context.Background(), src)
-}
-
-// RunContext is Run with cancellation: ctx is polled every 1024
-// references, so runaway cells in a sweep can be timed out.
-func (s *System) RunContext(ctx context.Context, src trace.Source) (int64, error) {
-	done := ctx.Done()
-	var n int64
-	for {
-		if done != nil && n&1023 == 0 {
-			select {
-			case <-done:
-				return n, ctx.Err()
-			default:
-			}
-		}
-		r, ok := src.Next()
-		if !ok {
-			if fe, ok := src.(interface{ Err() error }); ok {
-				if err := fe.Err(); err != nil {
-					return n, err
-				}
-			}
-			return n, nil
-		}
-		if err := s.Apply(r); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
 // Totals aggregates the per-cluster event counters.
 func (s *System) Totals() stats.Counters {
 	var t stats.Counters
@@ -522,34 +485,4 @@ func (s *System) fail(err error) {
 // ResetRelocationCounter clears the R-NUMA counter for (p, c).
 func (s *System) ResetRelocationCounter(p memsys.Page, c int) {
 	s.dir.ResetCounter(p, c)
-}
-
-// CheckCoherence verifies global protocol invariants for the given block
-// set; tests call it after runs. It returns an error describing the first
-// violation found.
-func (s *System) CheckCoherence(blocks []memsys.Block) error {
-	for _, b := range blocks {
-		owner := s.dir.DirtyOwner(b)
-		if owner != directory.NoOwner {
-			if !s.clusters[owner].HasBlock(b) {
-				return fmt.Errorf("block %d: directory says cluster %d is dirty owner but it holds no copy", b, owner)
-			}
-			// No other cluster may hold a dirty copy.
-			for i, cl := range s.clusters {
-				if i != owner && cl.HasDirty(b) {
-					return fmt.Errorf("block %d: cluster %d dirty while owner is %d", b, i, owner)
-				}
-			}
-		}
-		// Freshness: a valid copy anywhere implies no *other* cluster
-		// owns newer (dirty) data — otherwise a local hit would read
-		// stale bytes.
-		for i, cl := range s.clusters {
-			if owner != directory.NoOwner && i != owner && cl.HasBlock(b) {
-				return fmt.Errorf("block %d: cluster %d holds a stale copy while cluster %d is dirty",
-					b, i, owner)
-			}
-		}
-	}
-	return nil
 }

@@ -129,7 +129,7 @@ func TestWriteInvalidatesRemoteSharers(t *testing.T) {
 	if tot.WritebacksHome != 1 {
 		t.Fatalf("writebacks = %d, want 1 (read intervention flush)", tot.WritebacksHome)
 	}
-	if err := s.CheckCoherence([]memsys.Block{b}); err != nil {
+	if err := checkCoherence(s, []memsys.Block{b}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -398,12 +398,12 @@ func TestRunAndInterleaver(t *testing.T) {
 		read(0, addr(0, 0)), write(1, addr(0, 0)),
 		read(2, addr(1, 0)), read(3, addr(1, 0)),
 	}
-	n, err := s.Run(trace.NewSliceSource(refs))
+	n, err := s.ApplyBatch(refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("Run = %d refs", n)
+	if n != 4 || s.RefsApplied() != 4 {
+		t.Fatalf("ApplyBatch = %d refs, RefsApplied = %d", n, s.RefsApplied())
 	}
 	tot := s.Totals()
 	if tot.Refs.Total() != 4 || tot.Refs.Write != 1 {

@@ -15,6 +15,7 @@ import (
 
 	"dsmnc/internal/fault"
 	"dsmnc/internal/sim"
+	"dsmnc/memsys"
 	"dsmnc/trace"
 	"dsmnc/workload"
 )
@@ -57,7 +58,9 @@ func inject(t *testing.T, cfg fault.Config, sys System) error {
 		cfg.MaxPIDs = opt.Geometry.Procs()
 	}
 	b := workload.FFT(opt.Scale)
-	src := fault.Wrap(b.Source(opt.Geometry, opt.Quantum), cfg)
+	var rec recorder
+	b.Emit(opt.Geometry, opt.Quantum, rec.add)
+	src := fault.Wrap(trace.NewSliceSource(rec.refs), cfg)
 	_, err := RunTrace(src, "fault:"+cfg.Kind.String(), b.SharedBytes, sys, opt)
 	return err
 }
@@ -180,13 +183,13 @@ func TestCellTimeoutCancelsRun(t *testing.T) {
 	}
 }
 
-// TestRunContextCancellation: cancelling mid-run returns the context
+// TestRunCellCancellation: cancelling mid-run returns the context
 // error from the public entry point.
-func TestRunContextCancellation(t *testing.T) {
+func TestRunCellCancellation(t *testing.T) {
 	opt := testOptions()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, workload.FFT(opt.Scale), Base(), opt)
+	_, err := RunCell(ctx, "", workload.FFT(opt.Scale), Base(), opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
@@ -198,7 +201,7 @@ type recorder struct{ refs []trace.Ref }
 
 func (r *recorder) add(ref trace.Ref) { r.refs = append(r.refs, ref) }
 
-func (r *recorder) encode(t *testing.T) []byte {
+func (r *recorder) encode(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -211,4 +214,45 @@ func (r *recorder) encode(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzRunTrace feeds arbitrary bytes through the binary trace decoder
+// into a checked 2x2-cluster machine. The decoder's limits are left
+// unset, so the machine's own reference checks see every decoded
+// reference. Each input either simulates in full — Refs equals the
+// number of references the decoder yields — or fails with ErrBadTrace
+// or ErrBadRef. An in-range stream is a legal program, so any other
+// error (an ErrProtocol above all) is a simulator bug.
+func FuzzRunTrace(f *testing.F) {
+	var seed recorder
+	for i := 0; i < 64; i++ {
+		seed.add(trace.Ref{PID: int32(i % 4), Op: trace.Op(i % 3 / 2), Addr: memsys.Addr(i%5*memsys.PageBytes + i%7*memsys.BlockBytes)})
+	}
+	f.Add(seed.encode(f))
+	opt := DefaultOptions()
+	opt.Geometry = memsys.Geometry{Clusters: 2, ProcsPerCluster: 2}
+	opt.Check = true
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dec := trace.NewReader(bytes.NewReader(raw))
+		var decoded int64
+		for {
+			if _, ok := dec.Next(); !ok {
+				break
+			}
+			decoded++
+		}
+		res, err := RunTrace(trace.NewReader(bytes.NewReader(raw)), "fuzz", 0, VB(1<<10), opt)
+		switch {
+		case err == nil:
+			if dec.Err() != nil {
+				t.Fatalf("decode error %v, but RunTrace succeeded", dec.Err())
+			}
+			if res.Refs != decoded {
+				t.Fatalf("Refs = %d, decoder yielded %d", res.Refs, decoded)
+			}
+		case errors.Is(err, trace.ErrBadTrace), errors.Is(err, sim.ErrBadRef):
+		default:
+			t.Fatalf("RunTrace over %d decoded refs: %v", decoded, err)
+		}
+	})
 }

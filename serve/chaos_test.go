@@ -121,10 +121,10 @@ func testChaosQuarantine(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	submitAll := func(lo, hi int) {
+	submitAll := func(reqs []Request) {
 		t.Helper()
-		for n := lo; n < hi; n++ {
-			st, err := s.Submit(req(n))
+		for n, r := range reqs {
+			st, err := s.Submit(r)
 			if err != nil {
 				t.Fatalf("submit %d: %v", n, err)
 			}
@@ -133,7 +133,9 @@ func testChaosQuarantine(t *testing.T) {
 			}
 		}
 	}
-	submitAll(0, 8)
+	// Every job of the first wave homes on rotten, so its breaker sees
+	// QuarantineAfter consecutive losses by construction.
+	submitAll(reqsHomedOn(t, s, "rotten", 2))
 	if got := s.quarantined.Load(); got < 1 {
 		t.Fatalf("breaker never tripped: quarantined = %d", got)
 	}
@@ -152,7 +154,11 @@ func testChaosQuarantine(t *testing.T) {
 	}
 	// Post-quarantine traffic routes straight to the clean domain.
 	lostBefore := s.leaseLost.Load()
-	submitAll(8, 16)
+	var fresh []Request
+	for n := 8; n < 16; n++ {
+		fresh = append(fresh, req(n))
+	}
+	submitAll(fresh)
 	if got := s.leaseLost.Load(); got != lostBefore {
 		t.Errorf("quarantined executor still lost %d leases on fresh traffic", got-lostBefore)
 	}
@@ -184,7 +190,7 @@ func testChaosAvailability(t *testing.T) {
 	// Job A's first attempt crashes on the rotten executor (quarantining
 	// it), then its reassignment occupies the lone worker against the
 	// gate.
-	a, err := s.Submit(reqHomedOn(t, s, "rotten"))
+	a, err := s.Submit(reqsHomedOn(t, s, "rotten", 1)[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +227,22 @@ func testChaosAvailability(t *testing.T) {
 	}
 }
 
-// reqHomedOn returns the first req(n), n >= 1000, whose ring home under
-// s is the named executor, so a test can aim a job at one domain. The
-// high n keeps it clear of the low-numbered requests tests submit.
-func reqHomedOn(t *testing.T, s *Scheduler, name string) Request {
+// reqsHomedOn returns the first k distinct req(n), n >= 1000, whose
+// ring home under s is the named executor, so a test can aim jobs at
+// one domain. The high n keeps them clear of the low-numbered requests
+// tests submit.
+func reqsHomedOn(t *testing.T, s *Scheduler, name string, k int) []Request {
 	t.Helper()
-	for n := 1000; n < 2000; n++ {
+	var out []Request
+	for n := 1000; n < 2000 && len(out) < k; n++ {
 		if id, _ := idFor(t, s, req(n)); s.ring.order(id)[0] == name {
-			return req(n)
+			out = append(out, req(n))
 		}
 	}
-	t.Fatalf("no req(n) in [1000, 2000) homes on %q", name)
-	return Request{}
+	if len(out) < k {
+		t.Fatalf("only %d of %d req(n) in [1000, 2000) home on %q", len(out), k, name)
+	}
+	return out
 }
 
 // testChaosGolden: the determinism contract under injection — four

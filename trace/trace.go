@@ -1,12 +1,12 @@
 // Package trace defines the memory-reference trace format that drives the
 // simulator, mirroring the paper's trace-driven methodology (§5.2).
 //
-// A trace is a sequence of Ref values: (processor, read/write, address).
-// Sources produce refs lazily so that multi-million-reference workloads
-// never need to be materialized at once. The package also provides a
-// round-robin interleaver that merges per-processor streams the way a
-// trace-driven multiprocessor simulator consumes them, and a compact
-// binary on-disk codec for storing traces.
+// A trace is a sequence of Ref values: (processor, read/write, address),
+// already interleaved across processors (package workload's Emitter
+// does the round-robin merge for the synthetic benchmarks). A Source
+// yields refs lazily, so a multi-million-reference trace file never
+// needs to be materialized at once; the package's compact binary codec
+// (Writer/Reader) stores traces on disk.
 package trace
 
 import (
@@ -68,50 +68,4 @@ func (s *SliceSource) Next() (Ref, bool) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, true
-}
-
-// Remaining returns how many references are left.
-func (s *SliceSource) Remaining() int { return len(s.refs) - s.pos }
-
-// FuncSource adapts a function to the Source interface.
-type FuncSource func() (Ref, bool)
-
-// Next calls the wrapped function.
-func (f FuncSource) Next() (Ref, bool) { return f() }
-
-// Counting wraps a source and counts what flows through it.
-type Counting struct {
-	Src    Source
-	Reads  int64
-	Writes int64
-}
-
-// Next forwards to the wrapped source, tallying reads and writes.
-func (c *Counting) Next() (Ref, bool) {
-	r, ok := c.Src.Next()
-	if ok {
-		if r.Op == Write {
-			c.Writes++
-		} else {
-			c.Reads++
-		}
-	}
-	return r, ok
-}
-
-// Total returns the number of references seen so far.
-func (c *Counting) Total() int64 { return c.Reads + c.Writes }
-
-// Drain consumes src fully, delivering every reference to fn.
-// It returns the number of references consumed.
-func Drain(src Source, fn func(Ref)) int64 {
-	var n int64
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return n
-		}
-		fn(r)
-		n++
-	}
 }

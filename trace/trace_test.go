@@ -24,46 +24,6 @@ func mkRefs(pid int32, addrs ...uint64) []Ref {
 	return out
 }
 
-// Concat chains sources back to back.
-func Concat(srcs ...Source) Source {
-	i := 0
-	return FuncSource(func() (Ref, bool) {
-		for i < len(srcs) {
-			if r, ok := srcs[i].Next(); ok {
-				return r, true
-			}
-			i++
-		}
-		return Ref{}, false
-	})
-}
-
-// Limit truncates src after n references.
-func Limit(src Source, n int64) Source {
-	return FuncSource(func() (Ref, bool) {
-		if n <= 0 {
-			return Ref{}, false
-		}
-		n--
-		return src.Next()
-	})
-}
-
-// Filter yields only references for which keep returns true.
-func Filter(src Source, keep func(Ref) bool) Source {
-	return FuncSource(func() (Ref, bool) {
-		for {
-			r, ok := src.Next()
-			if !ok {
-				return Ref{}, false
-			}
-			if keep(r) {
-				return r, true
-			}
-		}
-	})
-}
-
 // Collect materializes up to max references from src (max <= 0 means all).
 func Collect(src Source, max int64) []Ref {
 	var out []Ref
@@ -91,146 +51,6 @@ func TestSliceSource(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Fatal("source resurrected after exhaustion")
-	}
-	if s.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", s.Remaining())
-	}
-}
-
-func TestConcatLimitFilter(t *testing.T) {
-	a := NewSliceSource(mkRefs(0, 1, 2))
-	b := NewSliceSource(mkRefs(1, 3, 4, 5))
-	got := Collect(Concat(a, b), -1)
-	if len(got) != 5 {
-		t.Fatalf("Concat yielded %d refs, want 5", len(got))
-	}
-	lim := Limit(NewSliceSource(mkRefs(0, 1, 2, 3, 4)), 2)
-	if n := len(Collect(lim, -1)); n != 2 {
-		t.Fatalf("Limit yielded %d, want 2", n)
-	}
-	f := Filter(NewSliceSource(mkRefs(0, 1, 2, 3, 4, 5, 6)), func(r Ref) bool {
-		return r.Op == Write
-	})
-	for _, r := range Collect(f, -1) {
-		if r.Op != Write {
-			t.Fatalf("filter leaked %v", r)
-		}
-	}
-}
-
-func TestCounting(t *testing.T) {
-	refs := []Ref{
-		{PID: 0, Op: Read, Addr: 0},
-		{PID: 0, Op: Write, Addr: 64},
-		{PID: 0, Op: Read, Addr: 128},
-	}
-	c := &Counting{Src: NewSliceSource(refs)}
-	Drain(c, func(Ref) {})
-	if c.Reads != 2 || c.Writes != 1 || c.Total() != 3 {
-		t.Fatalf("counts = %d/%d, want 2/1", c.Reads, c.Writes)
-	}
-}
-
-func TestInterleaverOrderAndConservation(t *testing.T) {
-	perProc := [][]Ref{
-		mkRefs(0, 10, 11, 12, 13, 14),
-		mkRefs(1, 20, 21),
-		mkRefs(2, 30, 31, 32, 33, 34, 35, 36),
-	}
-	srcs := make([]Source, len(perProc))
-	for i, rs := range perProc {
-		srcs[i] = NewSliceSource(rs)
-	}
-	il := NewInterleaver(srcs, 2)
-	var got []Ref
-	perPID := map[int32][]Ref{}
-	for {
-		r, ok := il.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-		perPID[r.PID] = append(perPID[r.PID], r)
-	}
-	want := 0
-	for _, rs := range perProc {
-		want += len(rs)
-	}
-	if len(got) != want {
-		t.Fatalf("interleaver yielded %d refs, want %d", len(got), want)
-	}
-	// Per-processor program order must be preserved exactly.
-	for pid, rs := range perProc {
-		if !reflect.DeepEqual(perPID[int32(pid)], rs) {
-			t.Fatalf("pid %d order broken:\n got %v\nwant %v", pid, perPID[int32(pid)], rs)
-		}
-	}
-	// The first four refs with quantum 2 must be P0,P0,P1,P1.
-	wantStart := []int32{0, 0, 1, 1, 2, 2}
-	for i, w := range wantStart {
-		if got[i].PID != w {
-			t.Fatalf("ref %d from P%d, want P%d (quantum round-robin)", i, got[i].PID, w)
-		}
-	}
-}
-
-func TestInterleaverQuantumFloor(t *testing.T) {
-	il := NewInterleaver([]Source{NewSliceSource(mkRefs(0, 1, 2, 3))}, 0)
-	if n := len(Collect(il, -1)); n != 3 {
-		t.Fatalf("got %d refs, want 3", n)
-	}
-}
-
-func TestInterleaverProperty(t *testing.T) {
-	// For random per-proc stream lengths, the interleaver conserves
-	// references and preserves per-processor order.
-	f := func(lens []uint8, quantum uint8) bool {
-		if len(lens) == 0 {
-			return true
-		}
-		if len(lens) > 8 {
-			lens = lens[:8]
-		}
-		rng := rand.New(rand.NewSource(42))
-		srcs := make([]Source, len(lens))
-		orig := make([][]Ref, len(lens))
-		total := 0
-		for i, l := range lens {
-			n := int(l % 50)
-			rs := make([]Ref, n)
-			for j := range rs {
-				rs[j] = Ref{PID: int32(i), Op: Op(rng.Intn(2)), Addr: memsys.Addr(rng.Uint64())}
-			}
-			orig[i] = rs
-			srcs[i] = NewSliceSource(rs)
-			total += n
-		}
-		il := NewInterleaver(srcs, int(quantum%7))
-		perPID := make([][]Ref, len(lens))
-		n := 0
-		for {
-			r, ok := il.Next()
-			if !ok {
-				break
-			}
-			perPID[r.PID] = append(perPID[r.PID], r)
-			n++
-		}
-		if n != total {
-			return false
-		}
-		for i := range orig {
-			if len(orig[i]) == 0 && len(perPID[i]) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(orig[i], perPID[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -380,21 +200,6 @@ func TestCollectLimits(t *testing.T) {
 	}
 	if got := Collect(src, -1); len(got) != 3 {
 		t.Fatalf("Collect(rest) = %d refs", len(got))
-	}
-}
-
-func TestFuncSourceAndDrain(t *testing.T) {
-	n := 3
-	src := FuncSource(func() (Ref, bool) {
-		if n == 0 {
-			return Ref{}, false
-		}
-		n--
-		return Ref{PID: int32(n)}, true
-	})
-	var seen int64
-	if got := Drain(src, func(Ref) { seen++ }); got != 3 || seen != 3 {
-		t.Fatalf("Drain = %d, saw %d", got, seen)
 	}
 }
 

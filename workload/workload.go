@@ -78,43 +78,35 @@ type Bench struct {
 }
 
 // Emit generates the benchmark's trace for geometry g, delivering the
-// interleaved references to sink. quantum is the round-robin interleaving
-// grain (references per processor turn); values below 1 mean 1.
+// interleaved references to sink one at a time: it is EmitBatch,
+// flattened. quantum is the round-robin interleaving grain (references
+// per processor turn); values below 1 mean 1.
 func (b *Bench) Emit(g memsys.Geometry, quantum int, sink func(trace.Ref)) {
+	b.EmitBatch(g, quantum, func(refs []trace.Ref) {
+		for _, r := range refs {
+			sink(r)
+		}
+	})
+}
+
+// EmitBatch generates the benchmark's trace for geometry g, delivering
+// each processor turn as one slice, so the per-reference dispatch is
+// amortized over the quantum. The slice is only valid during the
+// callback — the emitter reuses its buffers.
+func (b *Bench) EmitBatch(g memsys.Geometry, quantum int, sink func([]trace.Ref)) {
 	e := NewEmitter(g.Procs(), quantum, sink)
 	b.run(e)
 	e.Barrier()
 }
 
-// EmitBatch is Emit delivering each processor turn as one slice instead
-// of one call per reference: the stream, flattened, is identical to what
-// Emit produces, but the per-reference closure dispatch is amortized over
-// the quantum. The slice is only valid during the callback — the emitter
-// reuses its buffers.
-func (b *Bench) EmitBatch(g memsys.Geometry, quantum int, sink func([]trace.Ref)) {
-	e := NewEmitter(g.Procs(), quantum, nil)
-	e.batch = sink
-	b.run(e)
-	e.Barrier()
-}
-
-// Source returns the benchmark's trace as a pull Source. The entire trace
-// is buffered per barrier phase; prefer Emit for large runs.
-func (b *Bench) Source(g memsys.Geometry, quantum int) trace.Source {
-	var refs []trace.Ref
-	b.Emit(g, quantum, func(r trace.Ref) { refs = append(refs, r) })
-	return trace.NewSliceSource(refs)
-}
-
 // Emitter collects per-processor reference streams and interleaves them
-// round-robin into a sink. Generators call Read/Write per processor and
-// Barrier at synchronization points; the emitter also flushes on its own
-// when the buffered phase grows too large, preserving per-processor
-// program order either way.
+// round-robin into a sink, one processor turn per call. Generators
+// call Read/Write per processor and Barrier at synchronization points;
+// the emitter also flushes on its own when the buffered phase grows too
+// large, preserving per-processor program order either way.
 type Emitter struct {
 	bufs     [][]trace.Ref
-	sink     func(trace.Ref)
-	batch    func([]trace.Ref) // when non-nil, used instead of sink
+	sink     func([]trace.Ref)
 	quantum  int
 	buffered int
 	flushAt  int
@@ -125,8 +117,10 @@ type Emitter struct {
 // processors) before an automatic interleave-and-flush.
 const DefaultFlushAt = 1 << 22
 
-// NewEmitter builds an emitter for nproc processors.
-func NewEmitter(nproc, quantum int, sink func(trace.Ref)) *Emitter {
+// NewEmitter builds an emitter for nproc processors that delivers each
+// processor turn of up to quantum references to sink (a quantum below 1
+// means 1). The slice is only valid during the call.
+func NewEmitter(nproc, quantum int, sink func([]trace.Ref)) *Emitter {
 	if quantum < 1 {
 		quantum = 1
 	}
@@ -221,7 +215,7 @@ func (e *Emitter) flush() {
 	if e.buffered == 0 {
 		return
 	}
-	sink, batch, quantum := e.sink, e.batch, e.quantum
+	sink, quantum := e.sink, e.quantum
 	pos := make([]int, len(e.bufs))
 	remaining := e.buffered
 	for remaining > 0 {
@@ -235,13 +229,7 @@ func (e *Emitter) flush() {
 			if i == end {
 				continue
 			}
-			if batch != nil {
-				batch(buf[i:end])
-			} else {
-				for j := i; j < end; j++ {
-					sink(buf[j])
-				}
-			}
+			sink(buf[i:end])
 			remaining -= end - i
 			pos[p] = end
 		}

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"dsmnc/memsys"
 	"dsmnc/trace"
@@ -10,9 +13,14 @@ import (
 
 var testGeo = memsys.Geometry{Clusters: 8, ProcsPerCluster: 4}
 
+// collect is an Emitter sink that appends every delivered reference.
+func collect(out *[]trace.Ref) func([]trace.Ref) {
+	return func(refs []trace.Ref) { *out = append(*out, refs...) }
+}
+
 func TestEmitterInterleaving(t *testing.T) {
 	var got []trace.Ref
-	e := NewEmitter(2, 1, func(r trace.Ref) { got = append(got, r) })
+	e := NewEmitter(2, 1, collect(&got))
 	e.Read(0, 0)
 	e.Read(0, 64)
 	e.Write(1, 128)
@@ -34,7 +42,7 @@ func TestEmitterInterleaving(t *testing.T) {
 
 func TestEmitterAutoFlush(t *testing.T) {
 	var n int
-	e := NewEmitter(2, 1, func(trace.Ref) { n++ })
+	e := NewEmitter(2, 1, func(refs []trace.Ref) { n += len(refs) })
 	e.flushAt = 10
 	for i := 0; i < 25; i++ {
 		e.Read(0, memsys.Addr(i*64))
@@ -50,7 +58,7 @@ func TestEmitterAutoFlush(t *testing.T) {
 
 func TestEmitterRanges(t *testing.T) {
 	var got []trace.Ref
-	e := NewEmitter(1, 1, func(r trace.Ref) { got = append(got, r) })
+	e := NewEmitter(1, 1, collect(&got))
 	e.ReadRange(0, 0, 64, 8)
 	e.WriteRange(0, 1024, 128, 64)
 	e.Barrier()
@@ -59,6 +67,73 @@ func TestEmitterRanges(t *testing.T) {
 	}
 	if got[8].Op != trace.Write || got[8].Addr != 1024 {
 		t.Fatalf("write range wrong: %v", got[8])
+	}
+}
+
+// TestEmitterInterleaveProperty: for random per-processor stream
+// lengths and quanta 0-6 (0 floors to 1), with a flush threshold low
+// enough that auto-flushes split phases, the emitter loses and adds no
+// reference, preserves each processor's program order, and hands the
+// sink whole processor turns of at most one quantum.
+func TestEmitterInterleaveProperty(t *testing.T) {
+	f := func(lens []uint8, quantum uint8, flushAt uint8) bool {
+		if len(lens) > 8 {
+			lens = lens[:8]
+		}
+		q := int(quantum % 7)
+		var got []trace.Ref
+		ok := true
+		e := NewEmitter(len(lens), q, func(refs []trace.Ref) {
+			if len(refs) == 0 || len(refs) > max(q, 1) {
+				ok = false
+			}
+			for _, r := range refs[1:] {
+				if r.PID != refs[0].PID {
+					ok = false
+				}
+			}
+			got = append(got, refs...)
+		})
+		e.flushAt = int(flushAt%40) + 1
+		rng := rand.New(rand.NewSource(42))
+		orig := make([][]trace.Ref, len(lens))
+		for i, l := range lens {
+			for j := 0; j < int(l%50); j++ {
+				r := trace.Ref{PID: int32(i), Op: trace.Op(rng.Intn(2)), Addr: memsys.Addr(rng.Uint64())}
+				orig[i] = append(orig[i], r)
+			}
+		}
+		// Feed the streams in random slices, as a generator's phases do.
+		pos := make([]int, len(lens))
+		for left := true; left; {
+			left = false
+			for i := range orig {
+				n := min(rng.Intn(5), len(orig[i])-pos[i])
+				for _, r := range orig[i][pos[i] : pos[i]+n] {
+					if r.Op == trace.Write {
+						e.Write(i, r.Addr)
+					} else {
+						e.Read(i, r.Addr)
+					}
+				}
+				pos[i] += n
+				left = left || pos[i] < len(orig[i])
+			}
+		}
+		e.Barrier()
+		perPID := make([][]trace.Ref, len(lens))
+		for _, r := range got {
+			perPID[r.PID] = append(perPID[r.PID], r)
+		}
+		for i := range orig {
+			if !slices.Equal(orig[i], perPID[i]) {
+				return false
+			}
+		}
+		return ok && e.Emitted() == int64(len(got))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -218,17 +293,20 @@ func TestScalesGrow(t *testing.T) {
 	}
 }
 
+// TestBenchSource: a bench's reference stream is the same whether it
+// is taken one reference at a time (Emit) or one processor turn at a
+// time (EmitBatch).
 func TestBenchSource(t *testing.T) {
-	src := Sequential(1024, 1).Source(memsys.Geometry{Clusters: 2, ProcsPerCluster: 2}, 1)
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		n++
+	g := memsys.Geometry{Clusters: 2, ProcsPerCluster: 2}
+	b := ByName("FFT", ScaleTest)
+	var one, batched []trace.Ref
+	b.Emit(g, 3, func(r trace.Ref) { one = append(one, r) })
+	b.EmitBatch(g, 3, collect(&batched))
+	if len(one) == 0 {
+		t.Fatal("Emit yielded nothing")
 	}
-	if n == 0 {
-		t.Fatal("Source yielded nothing")
+	if !reflect.DeepEqual(one, batched) {
+		t.Fatalf("Emit and EmitBatch disagree: %d vs %d refs", len(one), len(batched))
 	}
 }
 
