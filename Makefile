@@ -45,11 +45,12 @@ fuzz:
 	$(GO) test -run '^FuzzExploreSpace$$' -fuzz '^FuzzExploreSpace$$' -fuzztime $(FUZZTIME) ./explore
 
 # Go line counts as ROADMAP.md tracks them: every *.go file outside
-# cmd/perfbench, split into non-test and test (*_test.go) lines. Not
-# part of ci; it reports, it does not gate.
+# cmd/perfbench, split into non-test and test (*_test.go) lines, and
+# their total. Not part of ci; it reports, it does not gate.
 lines:
 	@find . -name '*.go' -not -path './cmd/perfbench/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go lines:", $$1}'
 	@find . -name '*.go' -not -path './cmd/perfbench/*' -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go lines:    ", $$1}'
+	@find . -name '*.go' -not -path './cmd/perfbench/*' -print0 | xargs -0 cat | wc -l | awk '{print "total Go lines:   ", $$1}'
 
 # The checked acceptance matrix: every workload x every principal
 # system organization under the coherence invariant checker.

@@ -248,16 +248,10 @@ func (c *SetAssoc) Evict(b memsys.Block) Line {
 	return Line{}
 }
 
-// SetLines returns a snapshot of the valid lines in set s, LRU-order not
-// guaranteed. The victim-cache relocation machinery uses it to find the
-// predominant page tag of a set (paper §3.4).
-func (c *SetAssoc) SetLines(s int) []Line {
-	return c.AppendSetLines(nil, s)
-}
-
-// AppendSetLines appends the valid lines of set s to dst and returns the
-// extended slice: the allocation-free form of SetLines for callers on
-// the relocation hot path that keep a scratch buffer.
+// AppendSetLines appends the valid lines of set s to dst, LRU order not
+// guaranteed, and returns the extended slice. The victim-cache
+// relocation machinery uses it, with a reused scratch buffer, to find
+// the predominant page tag of a set (paper §3.4).
 func (c *SetAssoc) AppendSetLines(dst []Line, s int) []Line {
 	if s < 0 || s >= c.sets {
 		return dst
@@ -315,11 +309,4 @@ func (c *SetAssoc) Count() int {
 		}
 	}
 	return n
-}
-
-// Clear invalidates every line.
-func (c *SetAssoc) Clear() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
 }

@@ -158,12 +158,12 @@ func TestSetLines(t *testing.T) {
 	c.Fill(0, Shared)
 	c.Fill(4, Modified)
 	s := c.SetOf(0)
-	lines := c.SetLines(s)
+	lines := c.AppendSetLines(nil, s)
 	if len(lines) != 2 {
-		t.Fatalf("SetLines = %d lines, want 2", len(lines))
+		t.Fatalf("AppendSetLines = %d lines, want 2", len(lines))
 	}
-	if c.SetLines(-1) != nil || c.SetLines(c.Sets()) != nil {
-		t.Fatal("out-of-range SetLines returned lines")
+	if c.AppendSetLines(nil, -1) != nil || c.AppendSetLines(nil, c.Sets()) != nil {
+		t.Fatal("out-of-range AppendSetLines returned lines")
 	}
 }
 
@@ -180,9 +180,9 @@ func TestRangeCountClear(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("Range early stop visited %d, want 2", n)
 	}
-	c.Clear()
+	clear(c.lines)
 	if c.Count() != 0 {
-		t.Fatal("Clear left valid lines")
+		t.Fatal("Count of an emptied cache is not 0")
 	}
 }
 

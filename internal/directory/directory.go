@@ -184,18 +184,6 @@ func (d *Directory) Sticky(c int, b memsys.Block) bool {
 	return false
 }
 
-// StickyCount returns how many clusters have their presence bit set.
-func (d *Directory) StickyCount(b memsys.Block) int {
-	if e := d.blocks.Get(uint64(b)); e != nil {
-		n := 0
-		for s := e.sticky; s != 0; s &= s - 1 {
-			n++
-		}
-		return n
-	}
-	return 0
-}
-
 // SoleSharer reports whether c is the only cluster with a presence bit on
 // b. Fresh local fills use it to pick Exclusive over Shared.
 func (d *Directory) SoleSharer(c int, b memsys.Block) bool {
@@ -204,9 +192,6 @@ func (d *Directory) SoleSharer(c int, b memsys.Block) bool {
 	}
 	return true
 }
-
-// Blocks returns the number of directory entries materialized.
-func (d *Directory) Blocks() int { return d.blocks.Len() }
 
 // InvalMessages returns the cumulative invalidation messages sent.
 func (d *Directory) InvalMessages() int64 { return d.invalMsg }
@@ -225,11 +210,6 @@ func (d *Directory) Counter(p memsys.Page, c int) uint32 {
 func (d *Directory) ResetCounter(p memsys.Page, c int) {
 	d.counters.Del(counterKey(p, c))
 }
-
-// CounterEntries returns the number of live (page, cluster) counters —
-// the memory-overhead metric the paper's §3.4 scalability argument is
-// about.
-func (d *Directory) CounterEntries() int { return d.counters.Len() }
 
 // DecrementCounter undoes one capacity count for (p, c): the §3.4
 // counter-decrement refinement applied to directory-controlled counters

@@ -1,12 +1,21 @@
 package directory
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
 	"dsmnc/memsys"
 	"dsmnc/stats"
 )
+
+// stickyCount returns how many clusters have their presence bit set on b.
+func stickyCount(d *Directory, b memsys.Block) int {
+	if e := d.blocks.Get(uint64(b)); e != nil {
+		return bits.OnesCount64(e.sticky)
+	}
+	return 0
+}
 
 // mustNew builds a full-map directory or panics (test files only).
 func mustNew(clusters int) *Directory {
@@ -99,15 +108,15 @@ func TestWriteInvalidatesAllSharers(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		d.Access(c, b, false, true)
 	}
-	if n := d.StickyCount(b); n != 5 {
-		t.Fatalf("StickyCount = %d, want 5", n)
+	if n := stickyCount(d, b); n != 5 {
+		t.Fatalf("stickyCount = %d, want 5", n)
 	}
 	r := d.Access(6, b, true, true)
 	if len(r.Invalidate) != 5 {
 		t.Fatalf("Invalidate = %v, want 5 clusters", r.Invalidate)
 	}
-	if n := d.StickyCount(b); n != 1 {
-		t.Fatalf("post-write StickyCount = %d, want 1", n)
+	if n := stickyCount(d, b); n != 1 {
+		t.Fatalf("post-write stickyCount = %d, want 1", n)
 	}
 	if !d.SoleSharer(6, b) {
 		t.Fatal("writer not sole sharer")
@@ -133,7 +142,7 @@ func TestSoleSharerUnknownBlock(t *testing.T) {
 	if !d.SoleSharer(2, 999) {
 		t.Fatal("unknown block must report sole sharer")
 	}
-	if d.Sticky(0, 999) || d.DirtyOwner(999) != NoOwner || d.StickyCount(999) != 0 {
+	if d.Sticky(0, 999) || d.DirtyOwner(999) != NoOwner || stickyCount(d, 999) != 0 {
 		t.Fatal("unknown block has state")
 	}
 }
@@ -165,11 +174,11 @@ func TestCapacityCounters(t *testing.T) {
 	if d.Counter(5, 3) != 0 {
 		t.Fatal("counter leaked across clusters")
 	}
-	if d.CounterEntries() != 1 {
-		t.Fatalf("CounterEntries = %d, want 1", d.CounterEntries())
+	if d.counters.Len() != 1 {
+		t.Fatalf("counter entries = %d, want 1", d.counters.Len())
 	}
 	d.ResetCounter(5, 2)
-	if d.Counter(5, 2) != 0 || d.CounterEntries() != 0 {
+	if d.Counter(5, 2) != 0 || d.counters.Len() != 0 {
 		t.Fatal("ResetCounter did not clear")
 	}
 }
@@ -216,7 +225,7 @@ func TestDirectoryInvariants(t *testing.T) {
 				return false
 			}
 			// After a write, exactly one sticky cluster.
-			if write && d.StickyCount(b) != 1 {
+			if write && stickyCount(d, b) != 1 {
 				return false
 			}
 		}
@@ -238,8 +247,8 @@ func TestInvalMessagesCounted(t *testing.T) {
 	if d.InvalMessages() != 4 {
 		t.Fatalf("InvalMessages = %d, want 4", d.InvalMessages())
 	}
-	if d.Blocks() != 1 {
-		t.Fatalf("Blocks = %d", d.Blocks())
+	if d.blocks.Len() != 1 {
+		t.Fatalf("blocks = %d", d.blocks.Len())
 	}
 }
 
@@ -255,7 +264,7 @@ func TestDecrementCounterFullMap(t *testing.T) {
 		t.Fatalf("Counter = %d, want 1", d.Counter(3, 2))
 	}
 	d.DecrementCounter(3, 2)
-	if d.Counter(3, 2) != 0 || d.CounterEntries() != 0 {
+	if d.Counter(3, 2) != 0 || d.counters.Len() != 0 {
 		t.Fatal("decrement to zero did not delete the entry")
 	}
 	d.DecrementCounter(3, 2) // below zero: no-op

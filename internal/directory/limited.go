@@ -249,10 +249,3 @@ func (d *LimitedDirectory) PointerLimit() int { return d.pointers }
 // InvalMessages returns cumulative invalidation messages (broadcasts
 // inflate this).
 func (d *LimitedDirectory) InvalMessages() int64 { return d.invalMsg }
-
-// Overflows returns how many entries fell back to broadcast mode.
-func (d *LimitedDirectory) Overflows() int64 { return d.overflows }
-
-// NoisyCounts returns counter bumps for misses that were not capacity —
-// the relocation-evidence noise broadcast mode introduces.
-func (d *LimitedDirectory) NoisyCounts() int64 { return d.noisy }

@@ -49,12 +49,12 @@ func TestLimitedPointerOverflowBroadcasts(t *testing.T) {
 	b := memsys.Block(3)
 	d.Access(0, b, false, true)
 	d.Access(1, b, false, true)
-	if d.Overflows() != 0 {
+	if d.overflows != 0 {
 		t.Fatal("premature overflow")
 	}
 	d.Access(2, b, false, true) // third sharer: overflow
-	if d.Overflows() != 1 {
-		t.Fatalf("overflows = %d", d.Overflows())
+	if d.overflows != 1 {
+		t.Fatalf("overflows = %d", d.overflows)
 	}
 	// A write must now broadcast to all 7 other clusters, not just the
 	// 2 recorded pointers.
@@ -81,7 +81,7 @@ func TestLimitedCountersPreciseUnderPointers(t *testing.T) {
 	if r.CapacityCount != 1 {
 		t.Fatalf("precise capacity count = %d", r.CapacityCount)
 	}
-	if d.NoisyCounts() != 0 {
+	if d.noisy != 0 {
 		t.Fatal("precise mode produced noise")
 	}
 	if d.Counter(4, 1) != 1 {
@@ -109,8 +109,8 @@ func TestLimitedCountersNoisyUnderBroadcast(t *testing.T) {
 	if r.CapacityCount != 1 {
 		t.Fatalf("broadcast count = %d, want 1 (noisy)", r.CapacityCount)
 	}
-	if d.NoisyCounts() != 1 {
-		t.Fatalf("NoisyCounts = %d", d.NoisyCounts())
+	if d.noisy != 1 {
+		t.Fatalf("noisy = %d", d.noisy)
 	}
 }
 

@@ -159,8 +159,5 @@ func (e *Engine) Migrations() int64 { return e.migrations }
 // Replications returns the number of replicas granted.
 func (e *Engine) Replications() int64 { return e.replications }
 
-// Collapses returns the number of replica shoot-downs.
-func (e *Engine) Collapses() int64 { return e.collapses }
-
 // ReplicaHits returns the reads served from local replicas.
 func (e *Engine) ReplicaHits() int64 { return e.replicaHits }

@@ -129,11 +129,6 @@ func (pc *PageCache) Install(b memsys.Block, dirty bool) {
 	f.lastMiss = pc.clock
 }
 
-// WriteDirty captures a local write-back of block b into its frame: the
-// dirty data stays in the cluster instead of crossing the network.
-// It reports whether the frame accepted the block.
-func (pc *PageCache) WriteDirty(b memsys.Block) bool { return pc.Deposit(b, true) }
-
 // Deposit stores a victimized block into its frame without refreshing the
 // page's LRM recency (a victimization is not a miss). Dirty deposits keep
 // the cluster's only copy local; clean deposits let the frame keep

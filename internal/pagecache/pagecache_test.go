@@ -59,8 +59,8 @@ func TestLookupInstallInvalidate(t *testing.T) {
 	if st := pc.Lookup(b); st.Dirty {
 		t.Fatal("clean reinstall left dirty bit")
 	}
-	if !pc.WriteDirty(b) {
-		t.Fatal("WriteDirty refused mapped block")
+	if !pc.Deposit(b, true) {
+		t.Fatal("dirty Deposit refused mapped block")
 	}
 	if dirty := pc.Invalidate(b); !dirty {
 		t.Fatal("Invalidate lost dirty status")
@@ -71,8 +71,8 @@ func TestLookupInstallInvalidate(t *testing.T) {
 	if pc.Invalidate(blockOf(99, 0)) {
 		t.Fatal("Invalidate of unmapped block reported dirty")
 	}
-	if pc.WriteDirty(blockOf(99, 0)) {
-		t.Fatal("WriteDirty accepted unmapped block")
+	if pc.Deposit(blockOf(99, 0), true) {
+		t.Fatal("dirty Deposit accepted unmapped block")
 	}
 }
 
@@ -114,7 +114,7 @@ func TestEvictionFlushesDirtyBlocks(t *testing.T) {
 	pc := newPC(1)
 	pc.Relocate(4)
 	pc.Install(blockOf(4, 1), true)
-	pc.WriteDirty(blockOf(4, 7))
+	pc.Deposit(blockOf(4, 7), true)
 	pc.Install(blockOf(4, 9), false)
 	ev, _ := pc.Relocate(5)
 	if ev == nil || ev.Page != 4 {
@@ -134,7 +134,7 @@ func TestEvictionFlushesDirtyBlocks(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	pc := newPC(2)
 	pc.Relocate(3)
-	pc.WriteDirty(blockOf(3, 2))
+	pc.Deposit(blockOf(3, 2), true)
 	ev := pc.Unmap(3)
 	if ev == nil || ev.Page != 3 || len(ev.Dirty) != 1 {
 		t.Fatalf("Unmap = %+v", ev)
@@ -160,8 +160,8 @@ func TestFixedPolicyNeverRaises(t *testing.T) {
 	if pc.Policy().Adaptive() {
 		t.Fatal("fixed policy claims adaptive")
 	}
-	if pc.Policy().Reuses() != 99 {
-		t.Fatalf("Reuses = %d, want 99", pc.Policy().Reuses())
+	if pc.Policy().reusesTotal != 99 {
+		t.Fatalf("reusesTotal = %d, want 99", pc.Policy().reusesTotal)
 	}
 }
 
@@ -179,8 +179,8 @@ func TestAdaptivePolicyRaisesOnThrashing(t *testing.T) {
 	if pol.Threshold() != 32+8 {
 		t.Fatalf("threshold = %d, want 40 after one thrashing window", pol.Threshold())
 	}
-	if pol.Raises() != 1 {
-		t.Fatalf("Raises = %d, want 1", pol.Raises())
+	if pol.raises != 1 {
+		t.Fatalf("raises = %d, want 1", pol.raises)
 	}
 	// Keep thrashing: threshold keeps climbing window by window.
 	for i := 0; i < 16; i++ {
@@ -212,13 +212,13 @@ func TestAdaptivePolicyQuietWhenPagesEarnKeep(t *testing.T) {
 	if pol.Threshold() != 32 {
 		t.Fatalf("threshold = %d, want 32 (no thrashing)", pol.Threshold())
 	}
-	if pol.Raises() != 0 {
+	if pol.raises != 0 {
 		t.Fatal("policy raised without thrashing")
 	}
 }
 
 func TestAdaptiveRaiseResetsHitCounters(t *testing.T) {
-	pol := NewAdaptivePolicyTuned(32, 8, DefaultBreakEven, 1) // window = frames = 2
+	pol := &Policy{adaptive: true, threshold: 32, step: 8, breakEven: DefaultBreakEven, windowFactor: 1} // window = frames = 2
 	pc := mustNew(2, pol)
 	pc.Relocate(1)
 	pc.Relocate(2)
@@ -227,7 +227,7 @@ func TestAdaptiveRaiseResetsHitCounters(t *testing.T) {
 	// Two zero-hit reuses trigger a raise (window=2).
 	pc.Relocate(3)
 	_, raised := pc.Relocate(4)
-	if !raised && pol.Raises() == 0 {
+	if !raised && pol.raises == 0 {
 		t.Fatal("no raise")
 	}
 	// After the raise all hit counters are reset: evicting what remains
@@ -239,7 +239,7 @@ func TestAdaptiveRaiseResetsHitCounters(t *testing.T) {
 }
 
 func TestPolicyTunedParameters(t *testing.T) {
-	pol := NewAdaptivePolicyTuned(64, 16, 3, 1)
+	pol := &Policy{adaptive: true, threshold: 64, step: 16, breakEven: 3, windowFactor: 1}
 	pc := mustNew(1, pol)
 	if pol.Threshold() != 64 {
 		t.Fatal("initial threshold")
@@ -289,7 +289,7 @@ func TestPageCacheInvariants(t *testing.T) {
 					pc.Install(blk, false)
 				}
 			case 2:
-				if pc.WriteDirty(blk) {
+				if pc.Deposit(blk, true) {
 					shadowDirty[blk] = true
 				}
 			case 3:
@@ -329,7 +329,7 @@ func TestClean(t *testing.T) {
 	if pc.Clean(blockOf(1, 0)) {
 		t.Fatal("cleaned an already-clean block")
 	}
-	pc.WriteDirty(blockOf(1, 0))
+	pc.Deposit(blockOf(1, 0), true)
 	if !pc.Clean(blockOf(1, 0)) {
 		t.Fatal("Clean missed the dirty block")
 	}

@@ -52,18 +52,6 @@ func NewAdaptivePolicy(initial uint32) *Policy {
 	}
 }
 
-// NewAdaptivePolicyTuned returns an adaptive policy with explicit
-// parameters, for ablation studies.
-func NewAdaptivePolicyTuned(initial, step uint32, breakEven, windowFactor int) *Policy {
-	return &Policy{
-		adaptive:     true,
-		threshold:    initial,
-		step:         step,
-		breakEven:    breakEven,
-		windowFactor: windowFactor,
-	}
-}
-
 // bindFrames fixes the monitoring window once the page-cache size is
 // known (window = windowFactor x frames).
 func (p *Policy) bindFrames(frames int) {
@@ -80,12 +68,6 @@ func (p *Policy) Threshold() uint32 { return p.threshold }
 
 // Adaptive reports whether the policy adapts.
 func (p *Policy) Adaptive() bool { return p.adaptive }
-
-// Raises returns how many times the threshold has been raised.
-func (p *Policy) Raises() int64 { return p.raises }
-
-// Reuses returns the total number of frame reuses observed.
-func (p *Policy) Reuses() int64 { return p.reusesTotal }
 
 // frameReused feeds one frame-reuse event (with the evicted frame's hit
 // count) into the thrashing detector. It returns true when the threshold

@@ -18,9 +18,9 @@ import (
 	"testing"
 )
 
-// panicFreeDirs are the library packages the contract covers. cmd/ and
-// examples/ are deliberately excluded: terminating a CLI on a fatal
-// error is fine (they use log.Fatal / os.Exit, not panic, regardless).
+// panicFreeDirs are the library packages the contract covers. cmd/ is
+// deliberately excluded: terminating a CLI on a fatal error is fine
+// (the CLIs use log.Fatal / os.Exit, not panic, regardless).
 var panicFreeDirs = []string{".", "internal", "trace", "memsys", "stats", "workload", "telemetry", "serve", "explore"}
 
 func TestSimulationStackIsPanicFree(t *testing.T) {
@@ -32,8 +32,8 @@ func TestSimulationStackIsPanicFree(t *testing.T) {
 				return err
 			}
 			if d.IsDir() {
-				// The "." root must not recurse into cmd/, examples/ or
-				// hidden dirs; named roots recurse fully.
+				// The "." root must not recurse into cmd/ or hidden
+				// dirs; named roots recurse fully.
 				if root == "." && path != "." {
 					return fs.SkipDir
 				}

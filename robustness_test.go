@@ -2,18 +2,20 @@ package dsmnc
 
 // The robustness acceptance suite (docs/robustness.md): the invariant
 // checker is green across the paper's system organizations on every
-// workload, every fault-injection class is rejected with a typed error
-// (never a panic), and a poisoned sweep cell is contained by the
-// keep-going harness instead of sinking the experiment.
+// workload, every corrupted reference stream is rejected with a typed
+// error (never a panic) while legal perturbations are absorbed, and a
+// poisoned sweep cell is contained by the keep-going harness instead of
+// sinking the experiment.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
-	"dsmnc/internal/fault"
 	"dsmnc/internal/sim"
 	"dsmnc/memsys"
 	"dsmnc/trace"
@@ -48,53 +50,105 @@ func TestCheckedMatrixHasNoViolations(t *testing.T) {
 	}
 }
 
-// inject wraps bench's reference stream with a fault injector and runs
-// the checked simulator over it.
-func inject(t *testing.T, cfg fault.Config, sys System) error {
-	t.Helper()
-	opt := testOptions()
-	opt.Check = true
-	if cfg.MaxPIDs == 0 {
-		cfg.MaxPIDs = opt.Geometry.Procs()
-	}
+// The fault tests edit the recorded FFT stream at fixed indices, so
+// each one knows which reference must be rejected or where the stream
+// breaks off.
+const (
+	badRefAt = 3001 // the corrupted reference of the rejection tests
+	cutAt    = 2000 // where the truncated stream breaks off
+)
+
+// fftStream records FFT's reference stream at opt's scale.
+func fftStream(opt Options) ([]trace.Ref, int64) {
 	b := workload.FFT(opt.Scale)
 	var rec recorder
 	b.Emit(opt.Geometry, opt.Quantum, rec.add)
-	src := fault.Wrap(trace.NewSliceSource(rec.refs), cfg)
-	_, err := RunTrace(src, "fault:"+cfg.Kind.String(), b.SharedBytes, sys, opt)
-	return err
+	return rec.refs, b.SharedBytes
+}
+
+// rejectAt corrupts reference badRefAt with edit and requires the
+// checked machine (the per-reference Apply loop) and the unchecked one
+// (ApplyBatch's hoisted loop) both to fail with sim.ErrBadRef, having
+// applied exactly the references before the bad one.
+func rejectAt(t *testing.T, edit func(r *trace.Ref, procs int)) {
+	t.Helper()
+	opt := testOptions()
+	refs, shared := fftStream(opt)
+	edit(&refs[badRefAt], opt.Geometry.Procs())
+	for _, check := range []bool{true, false} {
+		opt.Check = check
+		opt.Progress = new(Progress)
+		_, err := RunTrace(trace.NewSliceSource(refs), "fault", shared, VB(16<<10), opt)
+		if !errors.Is(err, sim.ErrBadRef) {
+			t.Fatalf("check=%v: error = %v, want sim.ErrBadRef", check, err)
+		}
+		if got := opt.Progress.Refs.Load(); got != badRefAt {
+			t.Errorf("check=%v: applied %d references, want the %d before the bad one", check, got, badRefAt)
+		}
+	}
 }
 
 func TestFaultBitFlipAddrRejected(t *testing.T) {
-	err := inject(t, fault.Config{Kind: fault.BitFlipAddr, Seed: 11, EveryN: 500}, VB(16<<10))
-	if !errors.Is(err, sim.ErrBadRef) {
-		t.Fatalf("flipped address error = %v, want sim.ErrBadRef", err)
-	}
+	rejectAt(t, func(r *trace.Ref, _ int) { r.Addr |= 1 << memsys.AddrSpaceBits })
 }
 
 func TestFaultBadPIDRejected(t *testing.T) {
-	err := inject(t, fault.Config{Kind: fault.BadPID, Seed: 12, EveryN: 500}, VB(16<<10))
-	if !errors.Is(err, sim.ErrBadRef) {
-		t.Fatalf("bad-pid error = %v, want sim.ErrBadRef", err)
-	}
+	rejectAt(t, func(r *trace.Ref, procs int) { r.PID = int32(procs) })
 }
 
+// cutSource replays its references and then reports a decode error, as
+// a trace cut short mid-record does.
+type cutSource struct{ *trace.SliceSource }
+
+func (cutSource) Err() error { return fmt.Errorf("%w: stream cut short", trace.ErrBadTrace) }
+
 func TestFaultTruncateRejected(t *testing.T) {
-	err := inject(t, fault.Config{Kind: fault.Truncate, Seed: 13, EveryN: 2000}, VB(16<<10))
+	opt := testOptions()
+	opt.Check = true
+	opt.Progress = new(Progress)
+	refs, shared := fftStream(opt)
+	_, err := RunTrace(cutSource{trace.NewSliceSource(refs[:cutAt])}, "fault", shared, VB(16<<10), opt)
 	if !errors.Is(err, trace.ErrBadTrace) {
 		t.Fatalf("truncation error = %v, want trace.ErrBadTrace", err)
 	}
+	if got := opt.Progress.Refs.Load(); got != cutAt {
+		t.Errorf("applied %d references, want the %d before the cut", got, cutAt)
+	}
 }
 
-// TestFaultLegalPerturbationsAbsorbed: duplicated and reordered quanta
+// TestFaultLegalPerturbationsAbsorbed: duplicated and reordered windows
 // are ugly but legal streams; the checked machine must absorb them with
 // no invariant violations and no error.
 func TestFaultLegalPerturbationsAbsorbed(t *testing.T) {
-	for _, kind := range []fault.Kind{fault.DuplicateQuantum, fault.ReorderQuantum} {
+	const window, every = 64, 50 // every 50th 64-reference window is perturbed
+	opt := testOptions()
+	opt.Check = true
+	refs, shared := fftStream(opt)
+	var dup []trace.Ref
+	for k := 0; k*window < len(refs); k++ {
+		w := refs[k*window : min((k+1)*window, len(refs))]
+		dup = append(dup, w...)
+		if k%every == 0 {
+			dup = append(dup, w...)
+		}
+	}
+	swapped := slices.Clone(refs)
+	for k := 0; (k+2)*window <= len(refs); k += every {
+		a, b := swapped[k*window:(k+1)*window], swapped[(k+1)*window:(k+2)*window]
+		for i := range a {
+			a[i], b[i] = b[i], a[i]
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		stream []trace.Ref
+	}{{"duplicate-quantum", dup}, {"reorder-quantum", swapped}} {
 		for _, sys := range []System{Base(), VB(16 << 10), VXPFrac(16<<10, 5, 32)} {
-			cfg := fault.Config{Kind: kind, Seed: 14, EveryN: 50, Quantum: 64}
-			if err := inject(t, cfg, sys); err != nil {
-				t.Errorf("%v/%s: %v", kind, sys.Name, err)
+			res, err := RunTrace(trace.NewSliceSource(tc.stream), tc.name, shared, sys, opt)
+			if err != nil {
+				t.Errorf("%s/%s: %v", tc.name, sys.Name, err)
+			} else if res.Refs != int64(len(tc.stream)) {
+				t.Errorf("%s/%s: Refs = %d, want %d", tc.name, sys.Name, res.Refs, len(tc.stream))
 			}
 		}
 	}

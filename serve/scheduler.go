@@ -22,8 +22,8 @@ package serve
 // row is quarantined by the circuit breaker while the scheduler keeps
 // serving on the healthy remainder. Late or duplicate results from a
 // revoked attempt are discarded by an epoch guard, so a job completes
-// exactly once. The chaos harness (chaos.go, make chaos-smoke) proves
-// all of it under seeded fault injection.
+// exactly once. The chaos suite (chaos_test.go, make chaos-smoke)
+// proves all of it under seeded fault injection.
 //
 // With a Ledger attached the scheduler is crash-safe: every transition
 // is journaled (acknowledged jobs durably, before the client sees the

@@ -110,7 +110,6 @@ type Emitter struct {
 	quantum  int
 	buffered int
 	flushAt  int
-	emitted  int64
 }
 
 // DefaultFlushAt bounds phase buffering (references across all
@@ -134,9 +133,6 @@ func NewEmitter(nproc, quantum int, sink func([]trace.Ref)) *Emitter {
 
 // Procs returns the number of processor streams.
 func (e *Emitter) Procs() int { return len(e.bufs) }
-
-// Emitted returns how many references have been delivered to the sink.
-func (e *Emitter) Emitted() int64 { return e.emitted }
 
 // Read emits a read by processor pid at address a.
 func (e *Emitter) Read(pid int, a memsys.Addr) {
@@ -234,7 +230,6 @@ func (e *Emitter) flush() {
 			pos[p] = end
 		}
 	}
-	e.emitted += int64(e.buffered)
 	for p := range e.bufs {
 		e.bufs[p] = e.bufs[p][:0]
 	}

@@ -35,9 +35,6 @@ func TestEmitterInterleaving(t *testing.T) {
 			t.Fatalf("ref %d from P%d, want P%d", i, got[i].PID, w)
 		}
 	}
-	if e.Emitted() != 3 {
-		t.Fatalf("Emitted = %d", e.Emitted())
-	}
 }
 
 func TestEmitterAutoFlush(t *testing.T) {
@@ -130,7 +127,7 @@ func TestEmitterInterleaveProperty(t *testing.T) {
 				return false
 			}
 		}
-		return ok && e.Emitted() == int64(len(got))
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
