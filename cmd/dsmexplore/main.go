@@ -1,9 +1,8 @@
 // Command dsmexplore runs a design-space exploration locally: enumerate
-// a declarative spec over the remote-data-cache axes, prune the
-// configurations the analytic model proves dominated, simulate the
-// survivors on an in-process scheduler, and print the Pareto frontier
-// on the (SRAM bit cost, remote read stall) plane with predicted-vs-
-// simulated provenance per point (docs/explore.md).
+// a declarative spec over the remote-data-cache axes, simulate every
+// configuration on an in-process scheduler, and print the Pareto
+// frontier on the (SRAM bit cost, remote read stall) plane
+// (docs/explore.md).
 //
 // Usage:
 //
@@ -15,8 +14,8 @@
 //	dsmexplore -spec -                # ... or stdin
 //
 // The spec JSON schema is the POST /v1/explore body; -spec and the axis
-// flags are mutually exclusive. -csv emits every simulated point as CSV
-// on stdout instead of the table.
+// flags are mutually exclusive. -csv emits every point as CSV on stdout
+// instead of the table.
 //
 // Exit status: 0 on success, 1 on a fatal error, 2 on usage errors.
 package main
@@ -76,10 +75,8 @@ func run() int {
 			switch p.Phase {
 			case "enumerated":
 				fmt.Fprintf(os.Stderr, "dsmexplore: enumerated %d configurations\n", p.Enumerated)
-			case "pruned":
-				fmt.Fprintf(os.Stderr, "dsmexplore: pruned %d, simulating %d survivors\n", p.Pruned, p.Survivors)
 			case "simulated":
-				fmt.Fprintf(os.Stderr, "dsmexplore: simulated %d/%d\r", p.Simulated, p.Survivors)
+				fmt.Fprintf(os.Stderr, "dsmexplore: simulated %d/%d\r", p.Simulated, p.Enumerated)
 			case "frontier":
 				// \n closes the \r-overwritten simulation progress line.
 				fmt.Fprintf(os.Stderr, "\ndsmexplore: frontier has %d points\n", p.Frontier)
@@ -150,20 +147,19 @@ func buildSpace(path string, flagSpace explore.Space) (explore.Space, int) {
 	return sp, 0
 }
 
-// printTable renders the report: every simulated point, frontier marked,
-// then the pruned points with their dominating survivor.
+// printTable renders the report: every simulated point, frontier marked.
 func printTable(w io.Writer, rep *explore.Report) {
-	fmt.Fprintf(w, "explore %s (%s): enumerated %d, pruned %d, simulated %d\n",
-		rep.Spec.Bench, rep.Spec.Scale, rep.Enumerated, rep.Pruned, rep.Simulated)
+	fmt.Fprintf(w, "explore %s (%s): simulated %d configurations\n",
+		rep.Spec.Bench, rep.Spec.Scale, rep.Enumerated)
 	fmt.Fprintf(w, "baseline remote read stall: %d cycles\n\n", rep.BaselineStall)
 
-	header := fmt.Sprintf("%-24s %12s %12s %12s %7s", "config", "cost(bits)", "pred-stall", "sim-stall", "err%")
+	header := fmt.Sprintf("%-24s %12s %12s", "config", "cost(bits)", "sim-stall")
 	if rep.Spec.Contention {
 		header += fmt.Sprintf(" %12s", "w/queueing")
 	}
 	fmt.Fprintln(w, header+"  frontier")
 	for _, p := range rep.Points {
-		row := fmt.Sprintf("%-24s %12d %12d %12d %7.1f", p.Name, p.CostBits, p.PredStall, p.SimStall, p.PredErrPct)
+		row := fmt.Sprintf("%-24s %12d %12d", p.Name, p.CostBits, p.SimStall)
 		if rep.Spec.Contention {
 			row += fmt.Sprintf(" %12d", p.ContentionStall)
 		}
@@ -173,12 +169,6 @@ func printTable(w io.Writer, rep *explore.Report) {
 		}
 		fmt.Fprintln(w, row+mark)
 	}
-	if len(rep.Dropped) > 0 {
-		fmt.Fprintf(w, "\npruned without simulation (dominated on the predicted plane):\n")
-		for _, d := range rep.Dropped {
-			fmt.Fprintf(w, "%-24s %12d %12d  by %s\n", d.Name, d.CostBits, d.PredStall, d.DominatedBy)
-		}
-	}
 	fmt.Fprintf(w, "\n%d Pareto-optimal points (*), cheapest first\n", len(rep.Frontier))
 }
 
@@ -186,16 +176,14 @@ func printTable(w io.Writer, rep *explore.Report) {
 func writeCSV(w io.Writer, rep *explore.Report) int {
 	cw := csv.NewWriter(w)
 	_ = cw.Write([]string{"name", "system", "nc_bytes", "nc_ways", "pc_frac", "threshold",
-		"cost_bits", "pred_stall", "sim_stall", "pred_err_pct", "contention_stall", "on_frontier"})
+		"cost_bits", "sim_stall", "contention_stall", "on_frontier"})
 	for _, p := range rep.Points {
 		_ = cw.Write([]string{
 			p.Name, p.System,
 			strconv.Itoa(p.NCBytes), strconv.Itoa(p.NCWays), strconv.Itoa(p.PCFrac),
 			strconv.FormatUint(uint64(p.Threshold), 10),
 			strconv.FormatInt(p.CostBits, 10),
-			strconv.FormatInt(p.PredStall, 10),
 			strconv.FormatInt(p.SimStall, 10),
-			strconv.FormatFloat(p.PredErrPct, 'f', 2, 64),
 			strconv.FormatInt(p.ContentionStall, 10),
 			strconv.FormatBool(p.OnFrontier),
 		})

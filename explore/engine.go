@@ -1,6 +1,6 @@
 package explore
 
-// The three-phase exploration engine: enumerate -> prune -> simulate ->
+// The exploration engine: enumerate -> simulate every point ->
 // frontier. Simulation goes through a serve.Scheduler-shaped Submitter,
 // so an exploration inherits the serving fabric's backpressure (ErrBusy
 // submissions are retried with backoff), idempotent job coalescing
@@ -19,7 +19,6 @@ import (
 	"dsmnc/memsys"
 	"dsmnc/serve"
 	"dsmnc/stats"
-	"dsmnc/workload"
 )
 
 // Submitter is the slice of the scheduler the engine needs; a
@@ -31,22 +30,20 @@ type Submitter interface {
 }
 
 // Progress is one engine progress tick, in phase order: enumerated ->
-// pruned -> simulated (one tick per finished cell) -> frontier.
+// simulated (one tick per finished cell) -> frontier.
 type Progress struct {
-	Phase      string `json:"phase"` // enumerated|pruned|simulated|frontier
+	Phase      string `json:"phase"` // enumerated|simulated|frontier
 	Enumerated int    `json:"enumerated"`
-	Pruned     int    `json:"pruned"`
-	Survivors  int    `json:"survivors"`
 	Simulated  int    `json:"simulated"`
 	Frontier   int    `json:"frontier,omitempty"`
 }
 
-// Engine runs explorations against a Submitter. The analytic model
-// uses the paper's latencies (stats.DefaultLatencies) and geometry
-// (memsys.DefaultGeometry); the Submitter's scheduler must simulate
-// with the same machine, or the predicted-vs-simulated provenance will
-// show systematic error. A submission the scheduler sheds with ErrBusy
-// is retried after busyBackoff, doubling up to 64x.
+// Engine runs explorations against a Submitter. Stalls are scored
+// with the paper's latencies (stats.DefaultLatencies) and the
+// contention model with its geometry (memsys.DefaultGeometry), so the
+// Submitter's scheduler should simulate that machine. A submission the
+// scheduler sheds with ErrBusy is retried after busyBackoff, doubling
+// up to 64x.
 type Engine struct {
 	Sub Submitter
 	// OnProgress, when set, observes every phase tick.
@@ -61,16 +58,12 @@ type Report struct {
 	Spec        Space  `json:"spec"` // normalized form
 	Fingerprint string `json:"fingerprint"`
 	Enumerated  int    `json:"enumerated"`
-	Pruned      int    `json:"pruned"`
-	Simulated   int    `json:"simulated"`
 	// BaselineStall anchors the report: Equation (1) over the no-NC
-	// baseline simulation every prediction started from.
+	// baseline simulation, the yardstick stalls are read against.
 	BaselineStall int64 `json:"baseline_stall"`
-	// Points are the pruning survivors in enumeration order, each with
-	// predicted and simulated stall (model error as provenance).
+	// Points are every enumerated point, simulated, in enumeration
+	// order.
 	Points []ReportPoint `json:"points"`
-	// Dropped are the pruned points with the dominating survivor.
-	Dropped []DroppedPoint `json:"dropped"`
 	// Frontier are the Pareto-optimal points on the simulated
 	// (stall, cost) plane, cheapest first.
 	Frontier []ReportPoint `json:"frontier"`
@@ -85,11 +78,8 @@ type ReportPoint struct {
 	PCFrac    int    `json:"pc_frac,omitempty"`
 	Threshold uint32 `json:"threshold,omitempty"`
 	CostBits  int64  `json:"cost_bits"`
-	// PredStall is the analytic model's stall; SimStall the simulator's.
-	// PredErrPct = 100*(pred-sim)/sim is the visible model error.
-	PredStall  int64   `json:"pred_stall"`
-	SimStall   int64   `json:"sim_stall"`
-	PredErrPct float64 `json:"pred_err_pct"`
+	// SimStall is Equation (1) over the simulated counters.
+	SimStall int64 `json:"sim_stall"`
 	// TrafficBlocks and Relocations carry the simulated cell's remote
 	// block traffic and page relocation count, so report consumers can
 	// render the paper's companion axes without re-running anything.
@@ -99,14 +89,6 @@ type ReportPoint struct {
 	// spec asked for contention scoring.
 	ContentionStall int64 `json:"contention_stall,omitempty"`
 	OnFrontier      bool  `json:"on_frontier"`
-}
-
-// DroppedPoint records why a configuration was pruned unsimulated.
-type DroppedPoint struct {
-	Name        string `json:"name"`
-	CostBits    int64  `json:"cost_bits"`
-	PredStall   int64  `json:"pred_stall"`
-	DominatedBy string `json:"dominated_by"`
 }
 
 // Canonical renders the report deterministically: the same spec and the
@@ -128,11 +110,6 @@ func (e *Engine) Run(ctx context.Context, sp Space) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	scale, _ := workload.ParseScale(ns.Scale)
-	bench := workload.ByName(ns.Bench, scale)
-	if bench == nil {
-		return nil, fmt.Errorf("%w: unknown bench %q", ErrBadSpace, ns.Bench)
-	}
 	pts, err := ns.Enumerate()
 	if err != nil {
 		return nil, err
@@ -140,122 +117,80 @@ func (e *Engine) Run(ctx context.Context, sp Space) (*Report, error) {
 	prog := Progress{Phase: "enumerated", Enumerated: len(pts)}
 	e.tick(prog)
 
-	// Phase 0: the baseline anchor. One no-NC cell, simulated through
-	// the scheduler like everything else; if the spec itself contains
-	// the "none" point the idempotent job ID makes this the same job.
+	// The baseline anchor: one no-NC cell, simulated through the
+	// scheduler like everything else; if the spec itself contains the
+	// "none" point the idempotent job ID makes this the same job.
 	baseRes, err := e.runCell(ctx, serve.Request{Bench: ns.Bench, System: "base", Scale: ns.Scale})
 	if err != nil {
 		return nil, fmt.Errorf("explore: baseline cell: %w", err)
 	}
-	est := Estimator{
-		Lat:         stats.DefaultLatencies(),
-		Geometry:    memsys.DefaultGeometry(),
-		SharedBytes: bench.SharedBytes,
-		Base:        baseRes.Counters,
-	}
-	baseStall := stats.Model{Lat: est.Lat, Tech: stats.NCTechNone}.RemoteReadStall(&baseRes.Counters)
+	lat := stats.DefaultLatencies()
+	baseStall := stats.Model{Lat: lat, Tech: stats.NCTechNone}.RemoteReadStall(&baseRes.Counters)
 
-	// Phase 1: analytic pruning on the (predicted stall, cost) plane.
-	preds := make([]Prediction, len(pts))
+	// Simulate every point through the scheduler. Submit everything
+	// first (the queue absorbs what it can; ErrBusy sheds are retried
+	// with backoff), then collect in enumeration order.
+	ids := make([]string, len(pts))
 	for i, pt := range pts {
-		if preds[i], err = est.Predict(pt.Sys); err != nil {
-			return nil, err
-		}
-	}
-	dom := dominatedBy(len(pts),
-		func(i int) int64 { return pts[i].Cost },
-		func(i int) int64 { return preds[i].Stall.Total() })
-	var kept []int
-	var dropped []DroppedPoint
-	for i := range pts {
-		if ns.Exhaustive || dom[i] < 0 {
-			kept = append(kept, i)
-			continue
-		}
-		dropped = append(dropped, DroppedPoint{
-			Name:        pts[i].Name,
-			CostBits:    pts[i].Cost,
-			PredStall:   preds[i].Stall.Total(),
-			DominatedBy: pts[dom[i]].Name,
-		})
-	}
-	prog.Phase, prog.Pruned, prog.Survivors = "pruned", len(dropped), len(kept)
-	e.tick(prog)
-
-	// Phase 2: simulate the survivors through the scheduler. Submit
-	// everything first (the queue absorbs what it can; ErrBusy sheds
-	// are retried with backoff), then collect in enumeration order.
-	ids := make([]string, len(kept))
-	for n, i := range kept {
-		st, err := e.submit(ctx, pts[i].Req)
+		st, err := e.submit(ctx, pt.Req)
 		if err != nil {
-			return nil, fmt.Errorf("explore: submit %s: %w", pts[i].Name, err)
+			return nil, fmt.Errorf("explore: submit %s: %w", pt.Name, err)
 		}
-		ids[n] = st.ID
+		ids[i] = st.ID
 	}
-	results := make([]dsmnc.Result, len(kept))
-	for n, i := range kept {
-		res, err := e.collect(ctx, ids[n])
+	results := make([]dsmnc.Result, len(pts))
+	for i, pt := range pts {
+		res, err := e.collect(ctx, ids[i])
 		if err != nil {
-			return nil, fmt.Errorf("explore: cell %s: %w", pts[i].Name, err)
+			return nil, fmt.Errorf("explore: cell %s: %w", pt.Name, err)
 		}
-		results[n] = res
-		prog.Phase, prog.Simulated = "simulated", n+1
+		results[i] = res
+		prog.Phase, prog.Simulated = "simulated", i+1
 		e.tick(prog)
 	}
-
-	// Phase 3: the exact frontier on the simulated plane.
-	model := func(n int) stats.Model {
-		return stats.Model{Lat: est.Lat, Tech: pts[kept[n]].Sys.Tech()}
-	}
-	simStall := make([]int64, len(kept))
-	for n := range kept {
-		simStall[n] = model(n).RemoteReadStall(&results[n].Counters).Total()
-	}
-	front := dominatedBy(len(kept),
-		func(n int) int64 { return pts[kept[n]].Cost },
-		func(n int) int64 { return simStall[n] })
 
 	rep := &Report{
 		Spec:          ns,
 		Fingerprint:   ns.Fingerprint(),
 		Enumerated:    len(pts),
-		Pruned:        len(dropped),
-		Simulated:     len(kept),
 		BaselineStall: baseStall.Total(),
-		Dropped:       dropped,
 	}
-	for n, i := range kept {
-		pt := pts[i]
+	geo := memsys.DefaultGeometry()
+	for i, pt := range pts {
+		c := &results[i].Counters
+		m := stats.Model{Lat: lat, Tech: pt.Sys.Tech()}
 		rp := ReportPoint{
-			Name:       pt.Name,
-			System:     pt.Req.System,
-			NCBytes:    pt.Req.NCBytes,
-			NCWays:     pt.Req.NCWays,
-			PCFrac:     pt.Req.PCFrac,
-			Threshold:  pt.Req.Threshold,
-			CostBits:   pt.Cost,
-			PredStall:  preds[i].Stall.Total(),
-			SimStall:   simStall[n],
-			OnFrontier: front[n] < 0,
-		}
-		rp.TrafficBlocks = model(n).RemoteTraffic(&results[n].Counters).Total()
-		rp.Relocations = results[n].Counters.Relocations
-		if rp.SimStall != 0 {
-			rp.PredErrPct = 100 * float64(rp.PredStall-rp.SimStall) / float64(rp.SimStall)
+			Name:          pt.Name,
+			System:        pt.Req.System,
+			NCBytes:       pt.Req.NCBytes,
+			NCWays:        pt.Req.NCWays,
+			PCFrac:        pt.Req.PCFrac,
+			Threshold:     pt.Req.Threshold,
+			CostBits:      pt.Cost,
+			SimStall:      m.RemoteReadStall(c).Total(),
+			TrafficBlocks: m.RemoteTraffic(c).Total(),
+			Relocations:   c.Relocations,
 		}
 		if ns.Contention {
 			cm := stats.ContentionModel{
-				Lat:             est.Lat,
+				Lat:             lat,
 				Tech:            pt.Sys.Tech(),
-				Clusters:        est.Geometry.Clusters,
-				ProcsPerCluster: est.Geometry.ProcsPerCluster,
+				Clusters:        geo.Clusters,
+				ProcsPerCluster: geo.ProcsPerCluster,
 			}
-			rp.ContentionStall = cm.Evaluate(&results[n].Counters).Stall.Total()
+			rp.ContentionStall = cm.Evaluate(c).Stall.Total()
 		}
 		rep.Points = append(rep.Points, rp)
-		if rp.OnFrontier {
-			rep.Frontier = append(rep.Frontier, rp)
+	}
+
+	// The exact frontier on the simulated (stall, cost) plane.
+	front := dominatedBy(len(rep.Points),
+		func(i int) int64 { return rep.Points[i].CostBits },
+		func(i int) int64 { return rep.Points[i].SimStall })
+	for i := range rep.Points {
+		if front[i] < 0 {
+			rep.Points[i].OnFrontier = true
+			rep.Frontier = append(rep.Frontier, rep.Points[i])
 		}
 	}
 	// Frontier listed cheapest-first, stall as tiebreak.

@@ -20,9 +20,9 @@ func newTestScheduler(t *testing.T) *serve.Scheduler {
 }
 
 // TestEngineEndToEnd drives a small exploration at ScaleTest through a
-// real scheduler twice and requires: correct phase ordering, a
-// non-empty frontier whose points are exactly the report's on_frontier
-// points, pruning provenance naming real survivors, and byte-identical
+// real scheduler twice and requires: correct phase ordering, every
+// enumerated point simulated and reported, a non-empty frontier whose
+// points are exactly the report's on_frontier points, and byte-identical
 // canonical reports across the two runs (the second coalescing onto the
 // first run's finished jobs).
 func TestEngineEndToEnd(t *testing.T) {
@@ -45,23 +45,18 @@ func TestEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(phases) < 4 || phases[0] != "enumerated" || phases[1] != "pruned" ||
-		phases[len(phases)-1] != "frontier" {
-		t.Errorf("phase sequence %v", phases)
-	}
 	if rep.Enumerated != 1+3*2+2+1 { // none + {nc,vb,vp}x2 sizes + vxp x2 + dram
 		t.Errorf("enumerated %d", rep.Enumerated)
 	}
-	if rep.Enumerated != rep.Pruned+rep.Simulated {
-		t.Errorf("enumerated %d != pruned %d + simulated %d", rep.Enumerated, rep.Pruned, rep.Simulated)
+	if len(phases) != rep.Enumerated+2 || phases[0] != "enumerated" || phases[1] != "simulated" ||
+		phases[len(phases)-1] != "frontier" {
+		t.Errorf("phase sequence %v", phases)
 	}
-	if len(rep.Points) != rep.Simulated || len(rep.Frontier) == 0 {
-		t.Fatalf("%d points for %d simulated, frontier %d", len(rep.Points), rep.Simulated, len(rep.Frontier))
+	if len(rep.Points) != rep.Enumerated || len(rep.Frontier) == 0 {
+		t.Fatalf("%d points for %d enumerated, frontier %d", len(rep.Points), rep.Enumerated, len(rep.Frontier))
 	}
-	names := map[string]bool{}
 	onFrontier := 0
 	for _, p := range rep.Points {
-		names[p.Name] = true
 		if p.OnFrontier {
 			onFrontier++
 		}
@@ -74,11 +69,6 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 	if onFrontier != len(rep.Frontier) {
 		t.Errorf("%d on_frontier points but %d frontier entries", onFrontier, len(rep.Frontier))
-	}
-	for _, d := range rep.Dropped {
-		if !names[d.DominatedBy] {
-			t.Errorf("dropped %s dominated by %q, which was not simulated", d.Name, d.DominatedBy)
-		}
 	}
 	for i := 1; i < len(rep.Frontier); i++ {
 		a, b := rep.Frontier[i-1], rep.Frontier[i]

@@ -11,8 +11,7 @@ import (
 // Sweep the remote-data-cache design space of one workload: SRAM victim
 // NCs of growing size, with and without a page cache, and the 512 KB
 // DRAM NC. The engine simulates every point on an in-process scheduler
-// (the spec is exhaustive, so nothing is pruned) and reports each
-// point's stall, bit cost and traffic, marking the Pareto frontier on
+// and reports each point's stall, bit cost and traffic, marking the Pareto frontier on
 // the (cost, stall) plane. The paper's Figure 2 sketches this frontier
 // qualitatively: remote read stall as a function of how the RDC budget
 // is spent, where a small SRAM victim NC backed by a page cache buys
@@ -27,7 +26,7 @@ func ExampleEngine_Run() {
 	eng := &explore.Engine{Sub: sched}
 	rep, err := eng.Run(context.Background(), explore.Space{
 		Bench: "FMM", Scale: "test", Tech: []string{"sram", "dram"}, Orgs: []string{"vb", "vbp"},
-		NCKB: []int{1, 4, 16}, PCFrac: []int{5}, Exhaustive: true,
+		NCKB: []int{1, 4, 16}, PCFrac: []int{5},
 	})
 	if err != nil {
 		fmt.Println(err)

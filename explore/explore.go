@@ -3,25 +3,18 @@
 // transistor budget be split between network-cache organization, size,
 // associativity, and page-cache frames?
 //
-// An exploration is three phases over a declarative Space spec:
+// An exploration is two phases over a declarative Space spec:
 //
 //  1. Enumerate: the Space's axes (NC technology, size, associativity,
 //     indexing organization, page-cache fraction, relocation threshold)
 //     are expanded into concrete dsmnc system configurations, in a
 //     canonical deterministic order.
-//  2. Prune: every enumerated configuration is scored with a cheap
-//     analytic miss-ratio estimator (Estimator) anchored on one
-//     baseline simulation, and the paper's Equation (1) model
-//     (stats.Model). Configurations strictly dominated on the
-//     (predicted remote-read stall, SRAM bit-cost) plane are discarded
-//     before any simulation runs, with the dominating configuration
-//     recorded as provenance.
-//  3. Simulate: the survivors are submitted as idempotent jobs through
+//  2. Simulate: every point is submitted as an idempotent job through
 //     a serve.Scheduler-shaped Submitter — inheriting backpressure,
-//     ledger durability and lease retry — and the results are folded
-//     into the exact Pareto frontier on the (simulated stall, bit-cost)
-//     plane. Every simulated point carries both its predicted and its
-//     simulated stall, so model error is visible in the output.
+//     ledger durability and lease retry — and the results are scored
+//     with the paper's Equation (1) model (stats.Model) and folded into
+//     the exact Pareto frontier on the (simulated remote-read stall,
+//     SRAM bit-cost) plane.
 //
 // The package is panic-free by contract (panicfree_test.go): any spec
 // bytes produce either a valid Space or an ErrBadSpace-wrapped error,

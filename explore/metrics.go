@@ -22,9 +22,7 @@ func (ru *Runner) RegisterMetrics(r *telemetry.Registry) error {
 			func() float64 { return float64(ru.failed.Load()) }),
 		r.Counter("dsmnc_explore_enumerated_total", "Configurations enumerated across all explorations.",
 			func() float64 { return float64(ru.enumerated.Load()) }),
-		r.Counter("dsmnc_explore_pruned_total", "Configurations discarded by analytic dominance pruning.",
-			func() float64 { return float64(ru.prunedTotal.Load()) }),
-		r.Counter("dsmnc_explore_simulated_total", "Surviving configurations simulated through the scheduler.",
+		r.Counter("dsmnc_explore_simulated_total", "Configurations simulated through the scheduler.",
 			func() float64 { return float64(ru.simulated.Load()) }),
 	}
 	for _, err := range regs {

@@ -1,13 +1,10 @@
 package explore
 
-// Exact Pareto machinery on the (stall, bit-cost) plane, used twice:
-// the pruning stage discards points strictly dominated under the
-// *predicted* stall, and the final frontier keeps the non-dominated
-// points under the *simulated* stall. Dominance is strict: q dominates
-// p when q is no worse on both axes and strictly better on at least
-// one. Exact ties on both axes survive — two organizations that the
-// model cannot separate are both worth simulating, and two simulated
-// points at the same (cost, stall) are both on the frontier.
+// Exact Pareto machinery on the (stall, bit-cost) plane: the frontier
+// keeps the points no other simulated point dominates. Dominance is
+// strict: q dominates p when q is no worse on both axes and strictly
+// better on at least one. Exact ties on both axes survive — two
+// simulated points at the same (cost, stall) are both on the frontier.
 
 import "sort"
 

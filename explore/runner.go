@@ -73,8 +73,7 @@ type Runner struct {
 	active int
 
 	started, finished, failed atomic.Int64
-	enumerated, prunedTotal   atomic.Int64
-	simulated                 atomic.Int64
+	enumerated, simulated     atomic.Int64
 }
 
 // Start begins (or coalesces onto) the exploration of a spec. The
@@ -119,8 +118,6 @@ func (ru *Runner) drive(r *run, ns Space) {
 		switch p.Phase {
 		case "enumerated":
 			ru.enumerated.Add(int64(p.Enumerated))
-		case "pruned":
-			ru.prunedTotal.Add(int64(p.Pruned))
 		case "simulated":
 			ru.simulated.Add(1)
 		}

@@ -197,8 +197,7 @@ func TestRunnerMetrics(t *testing.T) {
 	if got := ru.enumerated.Load(); got != 2 { // base + vb-16K
 		t.Errorf("enumerated %d", got)
 	}
-	if ru.prunedTotal.Load()+ru.simulated.Load() != ru.enumerated.Load() {
-		t.Errorf("pruned %d + simulated %d != enumerated %d",
-			ru.prunedTotal.Load(), ru.simulated.Load(), ru.enumerated.Load())
+	if ru.simulated.Load() != ru.enumerated.Load() {
+		t.Errorf("simulated %d != enumerated %d", ru.simulated.Load(), ru.enumerated.Load())
 	}
 }

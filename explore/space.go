@@ -62,17 +62,13 @@ type Space struct {
 	PCFrac []int `json:"pc_frac,omitempty"`
 	// Thresholds lists vxp relocation thresholds. Empty means [32].
 	Thresholds []int `json:"thresholds,omitempty"`
-	// Contention additionally scores survivors under the queueing-
+	// Contention additionally scores every point under the queueing-
 	// corrected contention model (stats.ContentionModel).
 	Contention bool `json:"contention,omitempty"`
-	// Exhaustive skips the analytic pruning phase and simulates every
-	// enumerated point — for validation runs and small hand-picked
-	// sweeps where every row matters more than the saved simulations.
-	Exhaustive bool `json:"exhaustive,omitempty"`
 }
 
 // Point is one enumerated configuration: the concrete dsmnc system (for
-// the analytic model and the bit-cost account) together with the serve
+// the stall model and the bit-cost account) together with the serve
 // request that simulates it (for the scheduler).
 type Point struct {
 	Name string        // canonical point name, unique within the space

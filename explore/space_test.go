@@ -155,7 +155,7 @@ func TestCostBits(t *testing.T) {
 	if big := CostBits(sramSys("vb", 64<<10, 0)); big <= vb {
 		t.Errorf("64K vb cost %d not above 16K cost %d", big, vb)
 	}
-	pts, err := corpusSpace("FFT").Enumerate()
+	pts, err := Space{Bench: "FFT", Orgs: []string{"vp", "vxp"}}.Enumerate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,8 @@ type LimitedDirectory struct {
 	countersOn bool
 	counters   flatmap.Counter
 
-	invalBuf  []int
-	invalMsg  int64
-	overflows int64
-	noisy     int64 // counter bumps for misses that were not capacity
+	invalBuf []int
+	invalMsg int64
 }
 
 type lentry struct {
@@ -117,9 +115,6 @@ func (d *LimitedDirectory) Access(c int, b memsys.Block, write, countCapacity bo
 	if d.countersOn && countCapacity {
 		if e.hasPtr(c) || e.bcast {
 			res.CapacityCount = d.counters.Incr(counterKey(memsys.PageOfBlock(b), c))
-			if res.Class != stats.Capacity {
-				d.noisy++
-			}
 		}
 	}
 
@@ -156,7 +151,6 @@ func (d *LimitedDirectory) Access(c int, b memsys.Block, write, countCapacity bo
 				e.ptrMask |= bit
 			} else {
 				e.bcast = true
-				d.overflows++
 			}
 		}
 		e.sticky |= bit

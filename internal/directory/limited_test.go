@@ -49,13 +49,7 @@ func TestLimitedPointerOverflowBroadcasts(t *testing.T) {
 	b := memsys.Block(3)
 	d.Access(0, b, false, true)
 	d.Access(1, b, false, true)
-	if d.overflows != 0 {
-		t.Fatal("premature overflow")
-	}
 	d.Access(2, b, false, true) // third sharer: overflow
-	if d.overflows != 1 {
-		t.Fatalf("overflows = %d", d.overflows)
-	}
 	// A write must now broadcast to all 7 other clusters, not just the
 	// 2 recorded pointers.
 	r := d.Access(3, b, true, true)
@@ -70,6 +64,14 @@ func TestLimitedPointerOverflowBroadcasts(t *testing.T) {
 	if len(r.Invalidate) != 1 || r.Invalidate[0] != 3 {
 		t.Fatalf("post-reset invalidations = %v", r.Invalidate)
 	}
+	// Two sharers fit the two pointers: a write invalidates exactly them.
+	b2 := memsys.Block(4)
+	d.Access(0, b2, false, true)
+	d.Access(1, b2, false, true)
+	r = d.Access(5, b2, true, true)
+	if len(r.Invalidate) != 2 || r.Invalidate[0] != 0 || r.Invalidate[1] != 1 {
+		t.Fatalf("two-sharer invalidations = %v, want [0 1]", r.Invalidate)
+	}
 }
 
 func TestLimitedCountersPreciseUnderPointers(t *testing.T) {
@@ -80,9 +82,6 @@ func TestLimitedCountersPreciseUnderPointers(t *testing.T) {
 	r := d.Access(1, b, false, true)
 	if r.CapacityCount != 1 {
 		t.Fatalf("precise capacity count = %d", r.CapacityCount)
-	}
-	if d.noisy != 0 {
-		t.Fatal("precise mode produced noise")
 	}
 	if d.Counter(4, 1) != 1 {
 		t.Fatal("Counter lookup")
@@ -108,9 +107,6 @@ func TestLimitedCountersNoisyUnderBroadcast(t *testing.T) {
 	}
 	if r.CapacityCount != 1 {
 		t.Fatalf("broadcast count = %d, want 1 (noisy)", r.CapacityCount)
-	}
-	if d.noisy != 1 {
-		t.Fatalf("noisy = %d", d.noisy)
 	}
 }
 

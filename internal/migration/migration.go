@@ -65,7 +65,6 @@ type Engine struct {
 
 	migrations   int64
 	replications int64
-	collapses    int64
 	replicaHits  int64
 }
 
@@ -149,7 +148,6 @@ func (e *Engine) CollapseReplicas(p memsys.Page) []int {
 			st.replicas &^= 1 << uint(c)
 		}
 	}
-	e.collapses++
 	return out
 }
 

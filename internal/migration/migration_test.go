@@ -110,9 +110,6 @@ func TestCollapseReplicas(t *testing.T) {
 	if e.HasReplica(1, 4) || e.HasReplica(5, 4) {
 		t.Fatal("replicas survived collapse")
 	}
-	if e.collapses != 1 {
-		t.Fatal("collapse not counted")
-	}
 	if e.CollapseReplicas(4) != nil {
 		t.Fatal("double collapse returned clusters")
 	}

@@ -149,9 +149,14 @@ func TestUnmap(t *testing.T) {
 
 func TestFixedPolicyNeverRaises(t *testing.T) {
 	pc := mustNew(1, NewFixedPolicy(32))
+	evictions := 0
 	for p := memsys.Page(0); p < 100; p++ {
-		if _, raised := pc.Relocate(p); raised {
+		ev, raised := pc.Relocate(p)
+		if raised {
 			t.Fatal("fixed policy raised the threshold")
+		}
+		if ev != nil {
+			evictions++
 		}
 	}
 	if pc.Policy().Threshold() != 32 {
@@ -160,8 +165,8 @@ func TestFixedPolicyNeverRaises(t *testing.T) {
 	if pc.Policy().Adaptive() {
 		t.Fatal("fixed policy claims adaptive")
 	}
-	if pc.Policy().reusesTotal != 99 {
-		t.Fatalf("reusesTotal = %d, want 99", pc.Policy().reusesTotal)
+	if evictions != 99 {
+		t.Fatalf("%d frame reuses, want 99", evictions)
 	}
 }
 
@@ -172,15 +177,18 @@ func TestAdaptivePolicyRaisesOnThrashing(t *testing.T) {
 	pol := NewAdaptivePolicy(32)
 	pc := mustNew(4, pol)
 	page := memsys.Page(0)
+	raises := 0
 	for i := 0; i < 4+8; i++ { // fill 4, then 8 thrashing reuses
-		pc.Relocate(page)
+		if _, raised := pc.Relocate(page); raised {
+			raises++
+		}
 		page++
 	}
 	if pol.Threshold() != 32+8 {
 		t.Fatalf("threshold = %d, want 40 after one thrashing window", pol.Threshold())
 	}
-	if pol.raises != 1 {
-		t.Fatalf("raises = %d, want 1", pol.raises)
+	if raises != 1 {
+		t.Fatalf("%d raises reported, want 1", raises)
 	}
 	// Keep thrashing: threshold keeps climbing window by window.
 	for i := 0; i < 16; i++ {
@@ -206,14 +214,13 @@ func TestAdaptivePolicyQuietWhenPagesEarnKeep(t *testing.T) {
 		for h := 0; h < DefaultBreakEven+5; h++ {
 			pc.RecordHit(blockOf(victimPage, 0))
 		}
-		pc.Relocate(page)
+		if _, raised := pc.Relocate(page); raised {
+			t.Fatal("policy raised without thrashing")
+		}
 		page++
 	}
 	if pol.Threshold() != 32 {
 		t.Fatalf("threshold = %d, want 32 (no thrashing)", pol.Threshold())
-	}
-	if pol.raises != 0 {
-		t.Fatal("policy raised without thrashing")
 	}
 }
 
@@ -227,8 +234,8 @@ func TestAdaptiveRaiseResetsHitCounters(t *testing.T) {
 	// Two zero-hit reuses trigger a raise (window=2).
 	pc.Relocate(3)
 	_, raised := pc.Relocate(4)
-	if !raised && pol.raises == 0 {
-		t.Fatal("no raise")
+	if !raised || pol.Threshold() != 32+8 {
+		t.Fatalf("raised=%v threshold=%d, want a raise to 40", raised, pol.Threshold())
 	}
 	// After the raise all hit counters are reset: evicting what remains
 	// must report zero hits.

@@ -20,10 +20,8 @@ type Policy struct {
 	windowFactor int
 	window       int
 
-	reuses      int
-	thrash      int64
-	raises      int64
-	reusesTotal int64
+	reuses int
+	thrash int64
 }
 
 // Paper parameter values (§6.2).
@@ -74,7 +72,6 @@ func (p *Policy) Adaptive() bool { return p.adaptive }
 // was raised, in which case it has already reset the cache's hit
 // counters.
 func (p *Policy) frameReused(hits int, pc *PageCache) bool {
-	p.reusesTotal++
 	if !p.adaptive {
 		return false
 	}
@@ -86,7 +83,6 @@ func (p *Policy) frameReused(hits int, pc *PageCache) bool {
 	raised := false
 	if p.thrash < 0 {
 		p.threshold += p.step
-		p.raises++
 		pc.resetAllHitCounters()
 		raised = true
 	}
