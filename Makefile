@@ -86,12 +86,17 @@ crash-smoke:
 
 # The exploration gate (docs/explore.md): the engine end-to-end against
 # a real scheduler (enumerate -> simulate every point -> frontier, with
-# the re-run required byte-identical), and the built-binary e2e: POST
-# /v1/explore, coalesce a duplicate spec, SIGKILL mid-exploration,
-# restart on the same ledger, and require the recovered report byte-
-# identical to a clean run's.
+# the re-run required byte-identical); dsmexplore's HTTP submitter
+# against a loopback /v1/jobs stand-in (a 429 retried, a 400 failing
+# fast, a failed cell named, a canceled Wait returning); and the
+# built-binary crash drill: dsmexplore -server against a one-worker
+# dsmserved, SIGKILLed after its first finished cell, restarted on the
+# same ledger (recovered and replayed jobs both required), the
+# exploration re-run, and its CSV required byte-identical to a clean
+# server's and to a local run's.
 explore-smoke:
 	$(GO) test -run 'TestEngineEndToEnd' -count=1 ./explore
+	$(GO) test -run 'TestRemote' -count=1 ./cmd/dsmexplore
 	$(GO) test -run 'TestExploreEndToEndBinary' -count=1 ./cmd/dsmserved
 
 # The fleet torture gate (docs/serving.md "Running a fleet"): build the

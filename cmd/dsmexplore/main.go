@@ -1,21 +1,27 @@
-// Command dsmexplore runs a design-space exploration locally: enumerate
-// a declarative spec over the remote-data-cache axes, simulate every
-// configuration on an in-process scheduler, and print the Pareto
-// frontier on the (SRAM bit cost, remote read stall) plane
-// (docs/explore.md).
+// Command dsmexplore runs a design-space exploration: enumerate a
+// declarative spec over the remote-data-cache axes, simulate every
+// configuration, and print the Pareto frontier on the (SRAM bit cost,
+// remote read stall) plane (docs/explore.md).
 //
 // Usage:
 //
 //	dsmexplore -bench FFT [-scale small] [-tech none,sram,dram]
 //	           [-orgs nc,vb,vp,vxp] [-nc-kb 4,16,64] [-ways 4]
 //	           [-dram-kb 512] [-pc-frac 5] [-thresholds 32]
-//	           [-contention] [-workers N] [-csv] [-q]
+//	           [-contention] [-workers N | -server URL] [-csv] [-q]
 //	dsmexplore -spec space.json       # full JSON spec from a file
 //	dsmexplore -spec -                # ... or stdin
 //
-// The spec JSON schema is the POST /v1/explore body; -spec and the axis
-// flags are mutually exclusive. -csv emits every point as CSV on stdout
-// instead of the table.
+// The cells run on an in-process scheduler of -workers goroutines or,
+// with -server, on a running dsmserved (http://host:port, or the bare
+// host:port it prints), as ordinary /v1/jobs jobs: clients exploring
+// one spec simulate each cell once, and a run cut short by a server
+// crash re-uses the cells the ledger kept when it is run again.
+// -server and -workers are mutually exclusive.
+//
+// -spec takes the explore.Space JSON schema and excludes the axis
+// flags. -csv prints every point as CSV instead of the table, the same
+// bytes locally and with -server. Progress goes to stderr unless -q.
 //
 // Exit status: 0 on success, 1 on a fatal error, 2 on usage errors.
 package main
@@ -52,6 +58,7 @@ func run() int {
 		thresholds = flag.String("thresholds", "", "comma-separated relocation thresholds")
 		contention = flag.Bool("contention", false, "add queueing-corrected stall per simulated point")
 		workers    = flag.Int("workers", 0, "simulation worker pool size; 0 means NumCPU")
+		server     = flag.String("server", "", "dsmserved address (http://host:port) to run the cells on instead of in process; exclusive with -workers")
 		csvOut     = flag.Bool("csv", false, "emit all simulated points as CSV instead of the table")
 		quiet      = flag.Bool("q", false, "suppress progress messages on stderr")
 	)
@@ -62,14 +69,26 @@ func run() int {
 		return code
 	}
 
-	sched, err := serve.New(serve.Config{Workers: *workers, QueueDepth: explore.MaxPoints})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsmexplore: %v\n", err)
-		return 1
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	eng := &explore.Engine{}
+	if *server != "" {
+		workersSet := false
+		flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
+		if workersSet {
+			fmt.Fprintln(os.Stderr, "dsmexplore: -server and -workers are mutually exclusive")
+			return 2
+		}
+		eng.Sub = newRemote(ctx, *server)
+	} else {
+		sched, err := serve.New(serve.Config{Workers: *workers, QueueDepth: explore.MaxPoints})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dsmexplore: %v\n", err)
+			return 1
+		}
+		defer func() { _ = sched.Drain(context.Background()) }()
+		eng.Sub = sched
 	}
-	defer func() { _ = sched.Drain(context.Background()) }()
-
-	eng := &explore.Engine{Sub: sched}
 	if !*quiet {
 		eng.OnProgress = func(p explore.Progress) {
 			switch p.Phase {
@@ -84,8 +103,6 @@ func run() int {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	rep, err := eng.Run(ctx, sp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmexplore: %v\n", err)

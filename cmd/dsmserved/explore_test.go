@@ -1,29 +1,30 @@
 package main
 
-// End-to-end acceptance for /v1/explore against the real binary: the
-// same spec submitted twice coalesces onto one run ID, an exploration
-// SIGKILLed mid-flight survives a restart on the same ledger (its cells
-// are ordinary journaled jobs, so the re-posted exploration re-uses
-// them), and the report it then serves is byte-identical to one from a
-// completely clean server.
+// The exploration crash drill (make explore-smoke), against the built
+// binaries: dsmexplore -server drives a dsmserved through /v1/jobs, the
+// server is SIGKILLed mid-exploration, and after a restart on the same
+// ledger a second dsmexplore -server run re-uses the cells the ledger
+// kept and prints CSV byte-identical to a clean server's and to a
+// local run's.
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
 	"os/exec"
 	"path/filepath"
-	"strings"
+	"syscall"
 	"testing"
 	"time"
-
-	"dsmnc/explore"
 )
 
-// exploreSpec is the wire spec under test: four ScaleSmall FFT cells,
-// enough simulation work for the SIGKILL to land mid-exploration.
-const exploreSpec = `{"bench":"FFT","scale":"small","tech":["none","sram"],"orgs":["nc","vb","vp"],"nc_kb":[16]}`
+// drillSpec is the exploration under test: Radix at small scale over
+// none/sram/dram, four SRAM organizations and three NC sizes — 14
+// cells, the baseline coalescing with the "none" point. One worker
+// simulates them in about 2.5 s on a 2-core x86-64 box, so a kill after
+// the first finished cell lands with most of them unfinished.
+var drillSpec = []string{"-bench", "Radix", "-scale", "small", "-tech", "none,sram,dram",
+	"-orgs", "nc,vb,vp,vxp", "-nc-kb", "4,16,64", "-csv", "-q"}
+
+const drillCells = 14
 
 // startServed launches the built dsmserved and waits out any ledger
 // replay backlog before the test drives the API.
@@ -34,157 +35,92 @@ func startServed(t *testing.T, bin string, args ...string) *servedProc {
 	return p
 }
 
-// postExplore submits a spec and decodes the run status.
-func postExplore(t *testing.T, base, spec string) (explore.RunStatus, int) {
+// exploreCmd prepares a dsmexplore run of drillSpec that dies with the
+// test process and is killed if the test bails early.
+func exploreCmd(t *testing.T, bin string, args ...string) (*exec.Cmd, *bytes.Buffer, *bytes.Buffer) {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/explore", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st explore.RunStatus
-	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("decode explore response: %v", err)
+	cmd := exec.Command(bin, append(append([]string{}, drillSpec...), args...)...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	t.Cleanup(func() {
+		if cmd.Process != nil && cmd.ProcessState == nil {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
 		}
-	}
-	return st, resp.StatusCode
+	})
+	return cmd, &stdout, &stderr
 }
 
-// waitExplore polls a run to its terminal state.
-func waitExplore(t *testing.T, base, id string) explore.RunStatus {
+// runExplore runs dsmexplore to completion and returns its CSV.
+func runExplore(t *testing.T, bin string, args ...string) []byte {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/explore/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st explore.RunStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != explore.RunActive {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("exploration still %s (%+v) after 120s", st.State, st.Progress)
-		}
-		time.Sleep(20 * time.Millisecond)
+	cmd, stdout, stderr := exploreCmd(t, bin, args...)
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("dsmexplore %v: %v\n%s", args, err, stderr)
 	}
-}
-
-// fetchReport gets the canonical report bytes of a finished run.
-func fetchReport(t *testing.T, base, id string) []byte {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/explore/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
+	if n := bytes.Count(stdout.Bytes(), []byte("\n")); n != drillCells+1 {
+		t.Fatalf("dsmexplore %v printed %d CSV lines, want %d", args, n, drillCells+1)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result: status %d: %s", resp.StatusCode, data)
-	}
-	return data
+	return stdout.Bytes()
 }
 
 func TestExploreEndToEndBinary(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and execs the dsmserved binary; skipped under -short")
+		t.Skip("builds and execs the dsmserved and dsmexplore binaries; skipped under -short")
 	}
-	bin := filepath.Join(t.TempDir(), "dsmserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	dir := t.TempDir()
+	served, explorer := filepath.Join(dir, "dsmserved"), filepath.Join(dir, "dsmexplore")
+	for bin, pkg := range map[string]string{served: ".", explorer: "../dsmexplore"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
 	}
-	ledger := filepath.Join(t.TempDir(), "explore.ledger")
+	ledger := filepath.Join(dir, "explore.ledger")
 
-	// Server 1: submit, coalesce, then SIGKILL mid-exploration. One
-	// worker serializes the cells so the kill lands with work pending.
-	p1 := startServed(t, bin, "-ledger", ledger, "-workers", "1")
-	st, code := postExplore(t, p1.base, exploreSpec)
-	if code != http.StatusAccepted || st.ID == "" {
-		t.Fatalf("first POST: status %d (%+v)", code, st)
+	// Life 1: one worker serializes the cells. Once every cell is
+	// acknowledged and the first has finished, SIGKILL the server: no
+	// drain, no goodbye. The client must fail, not print a report.
+	p1 := startServed(t, served, "-ledger", ledger, "-workers", "1")
+	cut, _, cutErr := exploreCmd(t, explorer, "-server", p1.base)
+	if err := cut.Start(); err != nil {
+		t.Fatal(err)
 	}
-	st2, code2 := postExplore(t, p1.base, exploreSpec)
-	if code2 != http.StatusOK || st2.ID != st.ID {
-		t.Fatalf("resubmission did not coalesce: status %d, ID %q vs %q", code2, st2.ID, st.ID)
-	}
-	// A junk spec is rejected at the door.
-	if _, badCode := postExplore(t, p1.base, `{"bench":"FFT","bogus":1}`); badCode != http.StatusBadRequest {
-		t.Fatalf("junk spec: status %d, want 400", badCode)
-	}
-	// SIGKILL — no drain, no goodbye. The acknowledged cell jobs are in
-	// the ledger; the in-memory exploration is gone.
+	waitMetricAtLeast(t, p1.base, "dsmnc_serve_submitted_total", drillCells, 60*time.Second)
+	waitMetricAtLeast(t, p1.base, "dsmnc_serve_done_total", 1, 60*time.Second)
 	if err := p1.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	<-p1.exited
+	hung := time.AfterFunc(30*time.Second, func() { _ = cut.Process.Kill() })
+	if err := cut.Wait(); err == nil || !hung.Stop() {
+		t.Fatalf("dsmexplore must exit non-zero within 30s of its server's death mid-exploration (exit: %v)\n%s", err, cutErr)
+	}
 
-	// Server 2: same ledger. The replayed jobs re-run under their old
-	// IDs; re-posting the spec starts a fresh exploration that coalesces
-	// onto them through the scheduler's idempotent fingerprints.
-	p2 := startServed(t, bin, "-ledger", ledger)
-	rst, rcode := postExplore(t, p2.base, exploreSpec)
-	if rcode != http.StatusAccepted && rcode != http.StatusOK {
-		t.Fatalf("re-POST after restart: status %d", rcode)
-	}
-	if rst.ID != st.ID {
-		t.Fatalf("spec fingerprint changed across restart: %q vs %q", rst.ID, st.ID)
-	}
-	final := waitExplore(t, p2.base, rst.ID)
-	if final.State != explore.RunDone || final.Error != "" {
-		t.Fatalf("exploration finished %s: %s", final.State, final.Error)
-	}
-	if final.Progress.Phase != "frontier" {
-		t.Errorf("terminal phase %q, want frontier", final.Progress.Phase)
-	}
-	recovered := fetchReport(t, p2.base, rst.ID)
-
-	// The explore metrics are live on /metrics.
-	mresp, err := http.Get(p2.base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	for _, series := range []string{"dsmnc_explore_runs_total 1", "dsmnc_explore_done_total 1"} {
-		if !strings.Contains(string(mbody), series) {
-			t.Errorf("metrics missing %q", series)
+	// Life 2: same ledger. Finished cells come back with their results,
+	// unfinished ones re-run under their old IDs; a kill that landed
+	// before any cell finished, or after all of them, fails here.
+	p2 := startServed(t, served, "-ledger", ledger, "-workers", "1")
+	for _, m := range []string{"dsmnc_serve_recovered_total", "dsmnc_serve_replayed_total"} {
+		v := metricValue(t, p2.base, m)
+		if v < 1 {
+			t.Fatalf("%s = %v after the restart, want >= 1: the kill did not land mid-exploration", m, v)
 		}
+		t.Logf("%s = %v", m, v)
 	}
-
-	// The SSE stream of a finished run delivers its terminal status.
-	sresp, err := http.Get(p2.base + "/v1/explore/" + rst.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sbody, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	if !strings.Contains(string(sbody), `"state":"done"`) {
-		t.Errorf("SSE stream of a finished run lacks the terminal status: %q", sbody)
-	}
-
+	recovered := runExplore(t, explorer, "-server", p2.base)
 	sigtermAndWait(t, p2, "dsmserved")
 
-	// Server 3: clean ledger, no history. The recovered report must be
-	// byte-identical to this from-scratch one.
-	p3 := startServed(t, bin, "-ledger", filepath.Join(t.TempDir(), "clean.ledger"))
-	cst, ccode := postExplore(t, p3.base, exploreSpec)
-	if ccode != http.StatusAccepted {
-		t.Fatalf("clean POST: status %d", ccode)
-	}
-	if fin := waitExplore(t, p3.base, cst.ID); fin.State != explore.RunDone {
-		t.Fatalf("clean exploration finished %s: %s", fin.State, fin.Error)
-	}
-	clean := fetchReport(t, p3.base, cst.ID)
+	// A clean server with no history, and a local run: all three CSVs
+	// must be byte-identical.
+	p3 := startServed(t, served, "-ledger", filepath.Join(dir, "clean.ledger"), "-workers", "1")
+	clean := runExplore(t, explorer, "-server", p3.base)
+	sigtermAndWait(t, p3, "dsmserved")
+	local := runExplore(t, explorer)
 	if !bytes.Equal(recovered, clean) {
-		t.Errorf("report after crash-recovery differs from the clean run:\n%s\nvs\n%s", recovered, clean)
+		t.Errorf("CSV after crash recovery differs from a clean server's:\n%s\nvs\n%s", recovered, clean)
+	}
+	if !bytes.Equal(clean, local) {
+		t.Errorf("CSV from dsmexplore -server differs from a local run's:\n%s\nvs\n%s", clean, local)
 	}
 }

@@ -49,15 +49,17 @@
 //	GET    /v1/jobs/{id}/result terminal status + full result
 //	GET    /v1/jobs/{id}/stream status transitions as server-sent events
 //	DELETE /v1/jobs/{id}        cancel
-//	POST   /v1/explore             submit a design-space spec -> 202 (or 200 when coalesced)
-//	GET    /v1/explore/{id}        exploration status + phase progress
-//	GET    /v1/explore/{id}/result canonical frontier report (409 while running)
-//	GET    /v1/explore/{id}/stream progress phases as server-sent events
-//	GET    /metrics             Prometheus metrics (dsmnc_serve_*, dsmnc_explore_*)
+//	GET    /metrics             Prometheus metrics (dsmnc_serve_*)
 //	GET    /healthz             liveness: 200 while the process serves HTTP
 //	GET    /readyz              readiness: 200 ("ok"/"degraded") when traffic
 //	                            should route here, 503 with the reason
 //	                            ("recovering", "draining", "quarantined") when not
+//
+// A design-space exploration is a client of this API, not a route of
+// its own: dsmexplore -server submits every configuration as an
+// ordinary /v1/jobs job and folds the results into its frontier, so
+// its cells coalesce with other submissions, land in the ledger and
+// recover across a crash like any job (docs/explore.md).
 package main
 
 import (
@@ -79,7 +81,6 @@ import (
 	"time"
 
 	"dsmnc"
-	"dsmnc/explore"
 	"dsmnc/serve"
 	"dsmnc/telemetry"
 )
@@ -179,14 +180,6 @@ func main() {
 	if err := progress.RegisterMetricsLabeled(reg, "serve"); err != nil {
 		log.Fatal(err)
 	}
-	// Design-space explorations ride the same scheduler: every cell an
-	// exploration simulates is an ordinary idempotent job, so cells are
-	// coalesced with direct /v1/jobs submissions, journaled in the
-	// ledger, and recovered across crashes like any other work.
-	runner := &explore.Runner{Engine: &explore.Engine{Sub: sched}}
-	if err := runner.RegisterMetrics(reg); err != nil {
-		log.Fatal(err)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -196,7 +189,7 @@ func main() {
 	// a stalled peer cannot pin a connection forever. Writes are bounded
 	// too; the SSE stream exempts itself with per-write deadlines.
 	srv := &http.Server{
-		Handler:           newHandler(sched, runner, reg),
+		Handler:           newHandler(sched, reg),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -240,7 +233,7 @@ func main() {
 // It is transport glue only — every decision (validation, backpressure,
 // idempotency, deadlines) lives in the serve package, which is what the
 // loopback acceptance tests drive through this handler.
-func newHandler(s *serve.Scheduler, runner *explore.Runner, reg *telemetry.Registry) http.Handler {
+func newHandler(s *serve.Scheduler, reg *telemetry.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
@@ -343,105 +336,6 @@ func newHandler(s *serve.Scheduler, runner *explore.Runner, reg *telemetry.Regis
 		}
 		writeJSON(w, http.StatusOK, st)
 	})
-	mux.HandleFunc("POST /v1/explore", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, explore.MaxSpaceBytes))
-		if err != nil {
-			writeExploreError(w, s, fmt.Errorf("%w: %v", explore.ErrBadSpace, err))
-			return
-		}
-		sp, err := explore.ParseSpace(body)
-		if err != nil {
-			writeExploreError(w, s, err)
-			return
-		}
-		st, fresh, err := runner.Start(sp)
-		if err != nil {
-			writeExploreError(w, s, err)
-			return
-		}
-		// A brand-new exploration is accepted for later; the same spec
-		// resubmitted coalesces onto the existing run.
-		code := http.StatusAccepted
-		if !fresh {
-			code = http.StatusOK
-		}
-		writeJSON(w, code, st)
-	})
-	mux.HandleFunc("GET /v1/explore/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := runner.Status(r.PathValue("id"))
-		if err != nil {
-			writeExploreError(w, s, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("GET /v1/explore/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		rep, st, err := runner.Report(r.PathValue("id"))
-		if err != nil {
-			writeExploreError(w, s, err)
-			return
-		}
-		if rep == nil {
-			code := http.StatusConflict
-			if st.State == explore.RunFailed {
-				code = http.StatusBadGateway
-			}
-			writeJSON(w, code, map[string]any{
-				"error": "exploration not finished", "status": st,
-			})
-			return
-		}
-		// The canonical bytes, verbatim: two clients fetching the same
-		// exploration compare equal byte-for-byte.
-		data, err := rep.Canonical()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	})
-	mux.HandleFunc("GET /v1/explore/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		ch, err := runner.Watch(r.PathValue("id"))
-		if err != nil {
-			writeExploreError(w, s, err)
-			return
-		}
-		rc := http.NewResponseController(w)
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-store")
-		keep := time.NewTicker(sseKeepalive)
-		defer keep.Stop()
-		push := func(frame string, args ...any) bool {
-			_ = rc.SetWriteDeadline(time.Now().Add(sseWriteWindow))
-			if _, err := fmt.Fprintf(w, frame, args...); err != nil {
-				return false
-			}
-			return rc.Flush() == nil
-		}
-		for {
-			select {
-			case st, ok := <-ch:
-				if !ok {
-					return // terminal status delivered
-				}
-				data, err := json.Marshal(st)
-				if err != nil {
-					return
-				}
-				if !push("data: %s\n\n", data) {
-					return
-				}
-			case <-keep.C:
-				if !push(": keepalive\n\n") {
-					return
-				}
-			case <-r.Context().Done():
-				return
-			}
-		}
-	})
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness only: the process is up and answering HTTP. A
@@ -485,23 +379,6 @@ func writeError(w http.ResponseWriter, s *serve.Scheduler, err error) {
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
 	case errors.Is(err, serve.ErrUnknownJob):
-		code = http.StatusNotFound
-	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// writeExploreError maps the explore package's sentinels onto HTTP: bad
-// specs 400, a full runner 429 (same Retry-After estimate as job sheds),
-// unknown or evicted runs 404.
-func writeExploreError(w http.ResponseWriter, s *serve.Scheduler, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, explore.ErrBadSpace):
-		code = http.StatusBadRequest
-	case errors.Is(err, explore.ErrRunnerBusy):
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.RetryAfter()/time.Second)))
-	case errors.Is(err, explore.ErrUnknownRun):
 		code = http.StatusNotFound
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})

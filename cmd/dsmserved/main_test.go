@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"dsmnc"
-	"dsmnc/explore"
 	"dsmnc/serve"
 	"dsmnc/telemetry"
 	"dsmnc/workload"
@@ -36,11 +35,7 @@ func newTestServer(t *testing.T, cfg serve.Config) (*httptest.Server, *serve.Sch
 	if err := s.RegisterMetrics(reg); err != nil {
 		t.Fatal(err)
 	}
-	runner := &explore.Runner{Engine: &explore.Engine{Sub: s}}
-	if err := runner.RegisterMetrics(reg); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newHandler(s, runner, reg))
+	ts := httptest.NewServer(newHandler(s, reg))
 	t.Cleanup(func() {
 		ts.Close()
 		if err := s.Drain(context.Background()); err != nil {

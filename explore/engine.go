@@ -1,8 +1,8 @@
 package explore
 
 // The exploration engine: enumerate -> simulate every point ->
-// frontier. Simulation goes through a serve.Scheduler-shaped Submitter,
-// so an exploration inherits the serving fabric's backpressure (ErrBusy
+// frontier. Simulation goes through a Submitter, the job surface of the
+// serve package, so an exploration inherits its backpressure (ErrBusy
 // submissions are retried with backoff), idempotent job coalescing
 // (re-running the same spec re-uses finished cells), ledger durability
 // and lease retries. The report is canonical: the same spec against the
@@ -21,8 +21,10 @@ import (
 	"dsmnc/stats"
 )
 
-// Submitter is the slice of the scheduler the engine needs; a
-// *serve.Scheduler satisfies it.
+// Submitter is the slice of the scheduler the engine needs. It has two
+// implementations: a *serve.Scheduler in process, and cmd/dsmexplore's
+// HTTP client of a dsmserved's /v1/jobs API, which maps a 429 to
+// serve.ErrBusy so the engine's backoff applies to both.
 type Submitter interface {
 	Submit(req serve.Request) (serve.Status, error)
 	Wait(ctx context.Context, id string) (serve.Status, error)
@@ -32,18 +34,18 @@ type Submitter interface {
 // Progress is one engine progress tick, in phase order: enumerated ->
 // simulated (one tick per finished cell) -> frontier.
 type Progress struct {
-	Phase      string `json:"phase"` // enumerated|simulated|frontier
-	Enumerated int    `json:"enumerated"`
-	Simulated  int    `json:"simulated"`
-	Frontier   int    `json:"frontier,omitempty"`
+	Phase      string // enumerated|simulated|frontier
+	Enumerated int
+	Simulated  int
+	Frontier   int
 }
 
-// Engine runs explorations against a Submitter. Stalls are scored
-// with the paper's latencies (stats.DefaultLatencies) and the
-// contention model with its geometry (memsys.DefaultGeometry), so the
-// Submitter's scheduler should simulate that machine. A submission the
-// scheduler sheds with ErrBusy is retried after busyBackoff, doubling
-// up to 64x.
+// Engine runs explorations against a Submitter, local or remote. Stalls
+// are scored with the paper's latencies (stats.DefaultLatencies) and
+// the contention model with its geometry (memsys.DefaultGeometry), so
+// the scheduler behind the Submitter should simulate that machine, as
+// dsmserved's does. A submission shed with ErrBusy is retried after
+// busyBackoff, doubling up to 64x; ErrDraining is not retried.
 type Engine struct {
 	Sub Submitter
 	// OnProgress, when set, observes every phase tick.
@@ -55,9 +57,8 @@ const busyBackoff = 50 * time.Millisecond
 
 // Report is the canonical outcome of one exploration.
 type Report struct {
-	Spec        Space  `json:"spec"` // normalized form
-	Fingerprint string `json:"fingerprint"`
-	Enumerated  int    `json:"enumerated"`
+	Spec       Space `json:"spec"` // normalized form
+	Enumerated int   `json:"enumerated"`
 	// BaselineStall anchors the report: Equation (1) over the no-NC
 	// baseline simulation, the yardstick stalls are read against.
 	BaselineStall int64 `json:"baseline_stall"`
@@ -151,7 +152,6 @@ func (e *Engine) Run(ctx context.Context, sp Space) (*Report, error) {
 
 	rep := &Report{
 		Spec:          ns,
-		Fingerprint:   ns.Fingerprint(),
 		Enumerated:    len(pts),
 		BaselineStall: baseStall.Total(),
 	}

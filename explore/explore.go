@@ -10,8 +10,9 @@
 //     are expanded into concrete dsmnc system configurations, in a
 //     canonical deterministic order.
 //  2. Simulate: every point is submitted as an idempotent job through
-//     a serve.Scheduler-shaped Submitter — inheriting backpressure,
-//     ledger durability and lease retry — and the results are scored
+//     a Submitter — an in-process serve.Scheduler, or cmd/dsmexplore's
+//     client of a dsmserved's /v1/jobs API — inheriting backpressure,
+//     ledger durability and lease retry, and the results are scored
 //     with the paper's Equation (1) model (stats.Model) and folded into
 //     the exact Pareto frontier on the (simulated remote-read stall,
 //     SRAM bit-cost) plane.

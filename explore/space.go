@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/bits"
 	"slices"
@@ -237,14 +236,6 @@ func (s Space) countPoints() int {
 		}
 	}
 	return n
-}
-
-// Fingerprint condenses the canonical spec into a stable token; specs
-// that normalize identically share it.
-func (s Space) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", s)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Enumerate expands the (already normalized) spec into its concrete

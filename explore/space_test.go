@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,8 +70,8 @@ func TestSpaceCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Errorf("reordered axes changed the fingerprint: %s vs %s", a.Fingerprint(), b.Fingerprint())
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("reordered axes changed the canonical spec: %+v vs %+v", a, b)
 	}
 	pa, err := a.Enumerate()
 	if err != nil {

@@ -51,8 +51,8 @@ func testChaosSoak(t *testing.T) {
 	chaosB := NewChaosExecutor(Local("chaos-1"), ChaosConfig{Seed: 2, Rate: 0.6})
 	s := mustScheduler(t, Config{
 		Workers: 4, QueueDepth: 256, KeepResults: 1 << 16,
-		LeaseTTL: 40 * time.Millisecond, RetryBackoff: time.Millisecond,
-		MaxRetries: 12, QuarantineAfter: -1,
+		LeaseTTL: 40 * time.Millisecond, retryBackoff: time.Millisecond,
+		MaxRetries: 12, quarantineAfter: -1,
 		Executors: []Executor{chaosA, chaosB},
 		runFn:     fr.run,
 	})
@@ -125,8 +125,8 @@ func testChaosQuarantine(t *testing.T) {
 	})
 	s := mustScheduler(t, Config{
 		Workers: 2, LeaseTTL: 30 * time.Millisecond,
-		RetryBackoff: -1, MaxRetries: 5,
-		QuarantineAfter: 2, QuarantineFor: time.Hour,
+		retryBackoff: -1, MaxRetries: 5,
+		quarantineAfter: 2, quarantineFor: time.Hour,
 		Executors: []Executor{rotten, Local("clean")},
 		runFn:     fr.run,
 	})
@@ -147,7 +147,7 @@ func testChaosQuarantine(t *testing.T) {
 		}
 	}
 	// Every job of the first wave homes on rotten, so its breaker sees
-	// QuarantineAfter consecutive losses by construction.
+	// quarantineAfter consecutive losses by construction.
 	submitAll(reqsHomedOn(t, s, "rotten", 2))
 	if got := s.quarantined.Load(); got < 1 {
 		t.Fatalf("breaker never tripped: quarantined = %d", got)
@@ -188,8 +188,8 @@ func testChaosAvailability(t *testing.T) {
 	})
 	s := mustScheduler(t, Config{
 		Workers: 1, QueueDepth: 1, LeaseTTL: 30 * time.Millisecond,
-		RetryBackoff: -1, MaxRetries: 3,
-		QuarantineAfter: 1, QuarantineFor: time.Hour,
+		retryBackoff: -1, MaxRetries: 3,
+		quarantineAfter: 1, quarantineFor: time.Hour,
 		Executors: []Executor{rotten, Local("clean")},
 		runFn:     fr.run,
 	})
@@ -269,8 +269,8 @@ func testChaosGolden(t *testing.T) {
 	}
 	s := mustScheduler(t, Config{
 		Workers: 4, QueueDepth: 16,
-		LeaseTTL: 150 * time.Millisecond, RetryBackoff: time.Millisecond,
-		MaxRetries: 8, QuarantineAfter: -1,
+		LeaseTTL: 150 * time.Millisecond, retryBackoff: time.Millisecond,
+		MaxRetries: 8, quarantineAfter: -1,
 		Executors: []Executor{
 			NewChaosExecutor(Local("chaos-0"), ChaosConfig{Seed: 11, Rate: 0.4}),
 			NewChaosExecutor(Local("chaos-1"), ChaosConfig{Seed: 12, Rate: 0.4}),

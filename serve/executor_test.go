@@ -52,7 +52,7 @@ func TestLeaseLossReassigns(t *testing.T) {
 	}
 	s := mustScheduler(t, Config{
 		Workers: 1, LeaseTTL: 30 * time.Millisecond,
-		RetryBackoff: -1, MaxRetries: 2, QuarantineAfter: -1,
+		retryBackoff: -1, MaxRetries: 2, quarantineAfter: -1,
 		Executors: []Executor{flaky},
 	})
 	defer s.Drain(context.Background())
@@ -104,7 +104,7 @@ func TestVoluntaryLeaseSurrender(t *testing.T) {
 		return dsmnc.Result{}, fmt.Errorf("%w: connection reset", ErrLeaseLost)
 	}}
 	s := mustScheduler(t, Config{
-		Workers: 1, LeaseTTL: -1, RetryBackoff: -1, MaxRetries: 1, QuarantineAfter: -1,
+		Workers: 1, LeaseTTL: -1, retryBackoff: -1, MaxRetries: 1, quarantineAfter: -1,
 		Executors: []Executor{bad},
 	})
 	defer s.Drain(context.Background())
@@ -175,8 +175,8 @@ func TestAllQuarantinedStillServes(t *testing.T) {
 		return dsmnc.Result{}, fmt.Errorf("%w: flapping link", ErrLeaseLost)
 	}}
 	s := mustScheduler(t, Config{
-		Workers: 1, LeaseTTL: -1, RetryBackoff: -1, MaxRetries: 0,
-		QuarantineAfter: 1, QuarantineFor: time.Hour,
+		Workers: 1, LeaseTTL: -1, retryBackoff: -1, MaxRetries: 0,
+		quarantineAfter: 1, quarantineFor: time.Hour,
 		Executors: []Executor{bad},
 	})
 	defer s.Drain(context.Background())
@@ -227,7 +227,7 @@ func TestWatchCapacityNotifyNeverDrops(t *testing.T) {
 	}}
 	const retries = 3
 	s := mustScheduler(t, Config{
-		Workers: 1, LeaseTTL: -1, RetryBackoff: -1, MaxRetries: retries, QuarantineAfter: -1,
+		Workers: 1, LeaseTTL: -1, retryBackoff: -1, MaxRetries: retries, quarantineAfter: -1,
 		Executors: []Executor{exec},
 	})
 	defer s.Drain(context.Background())
@@ -364,7 +364,7 @@ func TestDrainCancelsBackoffWaiters(t *testing.T) {
 		return dsmnc.Result{}, fmt.Errorf("%w: surrendered", ErrLeaseLost)
 	}}
 	s, err := New(Config{
-		Workers: 1, LeaseTTL: -1, RetryBackoff: time.Hour, MaxRetries: 1, QuarantineAfter: -1,
+		Workers: 1, LeaseTTL: -1, retryBackoff: time.Hour, MaxRetries: 1, quarantineAfter: -1,
 		Executors: []Executor{surrender},
 	})
 	if err != nil {
@@ -492,7 +492,7 @@ func TestReassignCountsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Workers: 1, LeaseTTL: -1, RetryBackoff: -1, MaxRetries: 2, QuarantineAfter: -1,
+		Workers: 1, LeaseTTL: -1, retryBackoff: -1, MaxRetries: 2, quarantineAfter: -1,
 		Executors: []Executor{bad}, Ledger: l2,
 	})
 	if err != nil {

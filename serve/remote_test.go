@@ -95,7 +95,7 @@ func newFleetHarness(t *testing.T, nodes int, run func(ctx context.Context, wt *
 	}
 	cfg := Config{
 		Workers: 4, Executors: execs,
-		LeaseTTL: 150 * time.Millisecond, MaxRetries: 6, RetryBackoff: 10 * time.Millisecond,
+		LeaseTTL: 150 * time.Millisecond, MaxRetries: 6, retryBackoff: 10 * time.Millisecond,
 		// The scheduler-side engine seam is unused — execution happens
 		// on the workers — but keep it synthetic for safety.
 		runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil },
@@ -312,7 +312,7 @@ func TestRemoteExecutorConfigMismatchIsPermanent(t *testing.T) {
 	}
 	e := NewRemoteExecutor("node-misconf", &workerClient{w: w})
 	s, err := New(Config{Workers: 1, Executors: []Executor{e},
-		LeaseTTL: 150 * time.Millisecond, MaxRetries: 3, RetryBackoff: 10 * time.Millisecond,
+		LeaseTTL: 150 * time.Millisecond, MaxRetries: 3, retryBackoff: 10 * time.Millisecond,
 		runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 	if err != nil {
 		t.Fatal(err)

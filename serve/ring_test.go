@@ -248,7 +248,7 @@ func TestHashRoutingFallsBackOffHome(t *testing.T) {
 		}})
 	}
 	s, err := New(Config{Workers: 1, Executors: execs,
-		MaxRetries: 2, RetryBackoff: -1,
+		MaxRetries: 2, retryBackoff: -1,
 		runFn: func(ctx context.Context, j *job) (dsmnc.Result, error) { return dsmnc.Result{}, nil }})
 	if err != nil {
 		t.Fatal(err)

@@ -167,24 +167,27 @@ type Config struct {
 	// dispatched at most MaxRetries+1 times before it settles failed
 	// with ErrLeaseLost. 0 means 2; negative means no retries.
 	MaxRetries int
-	// RetryBackoff is the base delay before a reassigned job re-enters
+
+	// The fields below are in-package test seams; every binary runs
+	// with their defaults.
+
+	// retryBackoff is the base delay before a reassigned job re-enters
 	// the queue; it doubles per consecutive loss (capped at 1min) and
 	// is jittered over [d/2, d] by an RNG with a fixed seed, so the
 	// reassignment schedule is reproducible.
 	// 0 means 250ms; negative requeues immediately.
-	RetryBackoff time.Duration
-	// QuarantineAfter is the circuit breaker's threshold: an executor
+	retryBackoff time.Duration
+	// quarantineAfter is the circuit breaker's threshold: an executor
 	// that loses this many leases consecutively is quarantined for
-	// QuarantineFor (then probed half-open). 0 means 3; negative
+	// quarantineFor (then probed half-open). 0 means 3; negative
 	// disables the breaker.
-	QuarantineAfter int
-	// QuarantineFor is how long a tripped executor sits out.
+	quarantineAfter int
+	// quarantineFor is how long a tripped executor sits out.
 	// 0 means 30s.
-	QuarantineFor time.Duration
-
-	// runFn, when set, replaces the cell engine — the in-package test
-	// seam, needed at construction time because the pool starts
-	// running replayed jobs before New returns the scheduler.
+	quarantineFor time.Duration
+	// runFn, when set, replaces the cell engine; it is needed at
+	// construction time because the pool starts running replayed jobs
+	// before New returns the scheduler.
 	runFn func(ctx context.Context, j *job) (dsmnc.Result, error)
 }
 
@@ -331,19 +334,19 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg.MaxRetries = 0
 	}
 	switch {
-	case cfg.RetryBackoff == 0:
-		cfg.RetryBackoff = 250 * time.Millisecond
-	case cfg.RetryBackoff < 0:
-		cfg.RetryBackoff = 0
+	case cfg.retryBackoff == 0:
+		cfg.retryBackoff = 250 * time.Millisecond
+	case cfg.retryBackoff < 0:
+		cfg.retryBackoff = 0
 	}
 	switch {
-	case cfg.QuarantineAfter == 0:
-		cfg.QuarantineAfter = 3
-	case cfg.QuarantineAfter < 0:
-		cfg.QuarantineAfter = 0
+	case cfg.quarantineAfter == 0:
+		cfg.quarantineAfter = 3
+	case cfg.quarantineAfter < 0:
+		cfg.quarantineAfter = 0
 	}
-	if cfg.QuarantineFor <= 0 {
-		cfg.QuarantineFor = 30 * time.Second
+	if cfg.quarantineFor <= 0 {
+		cfg.quarantineFor = 30 * time.Second
 	}
 	if len(cfg.Executors) == 0 {
 		cfg.Executors = []Executor{Local("local-0")}
@@ -837,7 +840,7 @@ func (s *Scheduler) leaseLostLocked(j *job, es *execState, cause error) {
 	if j.attemptCancel != nil {
 		j.attemptCancel()
 	}
-	if es != nil && es.noteLostLocked(s.cfg.QuarantineAfter, s.cfg.QuarantineFor, now) {
+	if es != nil && es.noteLostLocked(s.cfg.quarantineAfter, s.cfg.quarantineFor, now) {
 		s.quarantined.Add(1)
 	}
 	j.losses++
@@ -877,7 +880,7 @@ func (s *Scheduler) leaseLostLocked(j *job, es *execState, cause error) {
 // deterministically jittered by the seeded RNG; zero appends at once.
 // Drain cancels the jobs still waiting. Callers hold mu.
 func (s *Scheduler) scheduleRetryLocked(j *job) {
-	delay := retryDelay(s.cfg.RetryBackoff, maxRetryBackoff, j.losses, s.retryRNG)
+	delay := retryDelay(s.cfg.retryBackoff, maxRetryBackoff, j.losses, s.retryRNG)
 	if delay <= 0 {
 		s.enqueueLocked(j)
 		return
