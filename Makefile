@@ -59,11 +59,12 @@ check:
 
 # The resume acceptance drills (docs/robustness.md §4): the interrupted
 # fig9 sweep replayed from its journal, the journal's damage and
-# mismatch handling, and the retry classification of failed cells. A
-# killed cell restarts from reference zero; the journal keeps every
-# finished one.
+# mismatch handling, the retry classification of failed cells, and the
+# trace fan-out's contracts: grouped cells equal their solo runs, and a
+# failure, retry or timeout stays in its own cell. A killed cell
+# restarts from reference zero; the journal keeps every finished one.
 resume-smoke:
-	$(GO) test -run 'TestInterruptedSweepResumes|TestJournal|TestRetries|TestPermanentFailureNotRetried|TestPanickedCellRetried' .
+	$(GO) test -run 'TestInterruptedSweepResumes|TestJournal|TestRetries|TestPermanentFailureNotRetried|TestPanickedCellRetried|TestGroup' .
 
 # The serving acceptance drills (docs/serving.md): the scheduler soak
 # under the race detector (64 submitters vs a 4-worker pool, bounded

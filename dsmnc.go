@@ -234,8 +234,12 @@ type Options struct {
 	// Experiment.Failed and carry on, instead of failing the whole
 	// experiment on the first bad cell.
 	KeepGoing bool
-	// CellTimeout bounds each (workload, system) cell of a sweep; zero
-	// means no bound. Timed-out cells fail with context.DeadlineExceeded.
+	// CellTimeout bounds each (workload, system) cell; zero means no
+	// bound. A sweep generates each benchmark's trace once for all the
+	// cells that consume it, so a cell is charged only what a solo run
+	// would spend: its own Build, its own simulation and the trace's
+	// generation. A cell whose charge passes the bound fails with
+	// context.DeadlineExceeded at its next cancellation poll.
 	CellTimeout time.Duration
 
 	// Journal, when set, makes sweeps durable: every finished cell is

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dsmnc/internal/sim"
+	"dsmnc/memsys"
 	"dsmnc/stats"
 	"dsmnc/trace"
 	"dsmnc/workload"
@@ -124,31 +125,77 @@ const (
 	maxRetryBackoff   = 30 * time.Second
 )
 
-// runWithRetries runs one cell, re-running transient failures up to
-// Options.Retries extra attempts with bounded exponential backoff. It
-// returns the attempt count alongside the final outcome.
-func runWithRetries(exp string, j runJob) (Result, int, error) {
-	backoff := firstRetryBackoff
-	attempts := 0
-	for {
-		attempts++
-		res, err := RunCell(context.Background(), exp, j.bench, j.sys, j.opt)
-		if err == nil || attempts > j.opt.Retries || !transientFailure(err) {
-			return res, attempts, err
-		}
-		time.Sleep(backoff)
-		if backoff < maxRetryBackoff {
-			backoff *= 2
+// runGroupRetried runs one group of cells, then re-runs each
+// transiently failed member alone, up to Options.Retries extra attempts
+// with bounded exponential backoff. The group's run is every member's
+// first attempt.
+func runGroupRetried(exp string, group []runJob) []cellOutcome {
+	out := runGroup(context.Background(), exp, group, time.Now)
+	for i, j := range group {
+		o := &out[i]
+		o.attempts = 1
+		backoff := firstRetryBackoff
+		for o.err != nil && o.attempts <= j.opt.Retries && transientFailure(o.err) {
+			time.Sleep(backoff)
+			if backoff < maxRetryBackoff {
+				backoff *= 2
+			}
+			o.res, o.err = RunCell(context.Background(), exp, j.bench, j.sys, j.opt)
+			o.attempts++
 		}
 	}
+	return out
 }
 
-// runMatrix executes all jobs of experiment exp in parallel and
-// collects results by (row, col). Failed cells are returned separately;
-// unless the jobs ran with KeepGoing, the first failure (in row-major
-// order) is returned as the error. With Options.Journal, cells the
-// journal already holds are restored instead of re-run, and every
-// freshly-finished cell is appended before it counts as done.
+// groupJobs groups cells by the reference stream they consume — the
+// same benchmark, geometry and quantum — so that runGroup generates
+// each stream once. Groups keep the order in which the jobs list them,
+// and each keeps its jobs' own options (Figure 3's L1Ways columns share
+// their benchmark's stream). With fewer groups than workers — a
+// one-benchmark sweep — each group is dealt round-robin into
+// ⌈workers/groups⌉ smaller ones, so no worker idles.
+func groupJobs(jobs []runJob, workers int) [][]runJob {
+	type stream struct {
+		bench   *workload.Bench
+		g       memsys.Geometry
+		quantum int
+	}
+	index := map[stream]int{}
+	var groups [][]runJob
+	for _, j := range jobs {
+		k := stream{j.bench, j.opt.Geometry, j.opt.Quantum}
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], j)
+	}
+	if len(groups) == 0 || len(groups) >= workers {
+		return groups
+	}
+	split := (workers + len(groups) - 1) / len(groups)
+	var out [][]runJob
+	for _, g := range groups {
+		parts := make([][]runJob, min(split, len(g)))
+		for i, j := range g {
+			parts[i%len(parts)] = append(parts[i%len(parts)], j)
+		}
+		out = append(out, parts...)
+	}
+	return out
+}
+
+// runMatrix executes all jobs of experiment exp and collects results by
+// (row, col). The cells are grouped by the reference stream they
+// consume (groupJobs), and a pool of GOMAXPROCS workers takes whole
+// groups in row order, generating each stream once for all its
+// members. Failed cells are returned separately; unless the jobs ran
+// with KeepGoing, the first failure (in row-major order) is returned as
+// the error. With Options.Journal, cells the journal already holds are
+// restored instead of re-run, and every freshly-finished cell is
+// appended before it counts as done.
 func runMatrix(exp string, jobs []runJob, rows, cols int) ([][]Result, []CellFailure, error) {
 	out := make([][]Result, rows)
 	for i := range out {
@@ -193,63 +240,64 @@ func runMatrix(exp string, jobs []runJob, rows, cols int) ([][]Result, []CellFai
 			p.CellsTotal.Add(int64(len(jobs)))
 		}
 	}
-	ch := make(chan runJob)
+	groups := groupJobs(jobs, runtime.GOMAXPROCS(0))
+	ch := make(chan []runJob)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var failed []CellFailure
 	keepGoing := true
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
+	// finish records one cell's outcome.
+	finish := func(j runJob, o cellOutcome) {
+		res, err := o.res, o.err
+		if p := j.opt.Progress; p != nil && o.attempts > 1 {
+			p.CellsRetried.Add(int64(o.attempts - 1))
+		}
+		if err == nil && j.opt.Journal != nil {
+			// The cell is only done once it is durable: a failed
+			// append degrades it to a failure so the operator
+			// learns the journal is broken before trusting it.
+			err = j.opt.Journal.append(journalRecord{
+				Exp: exp, Bench: j.bench.Name, System: j.sys.Name,
+				Fingerprint: j.opt.fingerprint(), Result: res,
+			})
+			if err == nil && j.opt.Progress != nil {
+				j.opt.Progress.noteJournal()
+			}
+		}
+		if p := j.opt.Progress; p != nil {
+			p.CellsDone.Add(1)
+		}
+		if err != nil {
+			if p := j.opt.Progress; p != nil {
+				p.CellsFailed.Add(1)
+			}
+			mu.Lock()
+			failed = append(failed, CellFailure{
+				Bench: j.bench.Name, System: j.sys.Name,
+				Row: j.row, Col: j.col, Err: err, Attempts: o.attempts,
+			})
+			if !j.opt.KeepGoing {
+				keepGoing = false
+			}
+			mu.Unlock()
+			return
+		}
+		out[j.row][j.col] = res
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(groups)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				res, attempts, err := runWithRetries(exp, j)
-				if p := j.opt.Progress; p != nil && attempts > 1 {
-					p.CellsRetried.Add(int64(attempts - 1))
+			for g := range ch {
+				for i, o := range runGroupRetried(exp, g) {
+					finish(g[i], o)
 				}
-				if err == nil && j.opt.Journal != nil {
-					// The cell is only done once it is durable: a failed
-					// append degrades it to a failure so the operator
-					// learns the journal is broken before trusting it.
-					err = j.opt.Journal.append(journalRecord{
-						Exp: exp, Bench: j.bench.Name, System: j.sys.Name,
-						Fingerprint: j.opt.fingerprint(), Result: res,
-					})
-					if err == nil && j.opt.Progress != nil {
-						j.opt.Progress.noteJournal()
-					}
-				}
-				if p := j.opt.Progress; p != nil {
-					p.CellsDone.Add(1)
-				}
-				if err != nil {
-					if p := j.opt.Progress; p != nil {
-						p.CellsFailed.Add(1)
-					}
-					mu.Lock()
-					failed = append(failed, CellFailure{
-						Bench: j.bench.Name, System: j.sys.Name,
-						Row: j.row, Col: j.col, Err: err, Attempts: attempts,
-					})
-					if !j.opt.KeepGoing {
-						keepGoing = false
-					}
-					mu.Unlock()
-					continue
-				}
-				out[j.row][j.col] = res
 			}
 		}()
 	}
-	for _, j := range jobs {
-		ch <- j
+	for _, g := range groups {
+		ch <- g
 	}
 	close(ch)
 	wg.Wait()

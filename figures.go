@@ -122,16 +122,17 @@ func (f Figure) Run(opt Options) (Experiment, error) {
 	return f.run(workload.All(opt.Scale), opt)
 }
 
-func (f Figure) run(benches []*workload.Bench, opt Options) (Experiment, error) {
-	cols := f.columns
-	first := 0
+// jobs lists the figure's cells over benches, row by row, and how many
+// columns it simulates; a hidden baseline, when the projection needs
+// one, is column 0, and first is the first column the figure shows.
+func (f Figure) jobs(benches []*workload.Bench, opt Options) (jobs []runJob, cols, first int) {
+	cs := f.columns
 	if f.project.hiddenBaseline() {
-		cols = append([]column{{sys: InfiniteDRAM()}}, cols...)
+		cs = append([]column{{sys: InfiniteDRAM()}}, cs...)
 		first = 1
 	}
-	var jobs []runJob
 	for r, b := range benches {
-		for c, col := range cols {
+		for c, col := range cs {
 			o := opt
 			if col.l1Ways > 0 {
 				o.L1Ways = col.l1Ways
@@ -139,7 +140,12 @@ func (f Figure) run(benches []*workload.Bench, opt Options) (Experiment, error) 
 			jobs = append(jobs, runJob{bench: b, sys: col.sys, opt: o, row: r, col: c})
 		}
 	}
-	results, failed, err := runMatrix(f.ID, jobs, len(benches), len(cols))
+	return jobs, len(cs), first
+}
+
+func (f Figure) run(benches []*workload.Bench, opt Options) (Experiment, error) {
+	jobs, cols, first := f.jobs(benches, opt)
+	results, failed, err := runMatrix(f.ID, jobs, len(benches), cols)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -154,7 +160,7 @@ func (f Figure) run(benches []*workload.Bench, opt Options) (Experiment, error) 
 	}
 	for r, b := range benches {
 		row := Row{Bench: b.Name}
-		for c := first; c < len(cols); c++ {
+		for c := first; c < cols; c++ {
 			row.Values = append(row.Values, f.project.values(results[r][c], results[r][0], opt)...)
 		}
 		exp.Rows = append(exp.Rows, row)
